@@ -32,11 +32,11 @@ instance against a checked-in baseline:
   baseline requests/sec;
 - its ``sim.*`` counters must match the baseline **exactly**, and its
   scalar summary (counters, miss rate, accuracy, goodput exactly; mean
-  latency to 1e-9 relative) must match a record-backed one-shot run on the
+  latency to 1e-9 relative) must match a record-backed run on the
   same seed — the streaming-equivalence contract;
 - a 4-cell sharded fan-out must merge to byte-identical counters whether
   cells run serially or on a process pool, and must beat the record-backed
-  one-shot by ``--min-speedup`` (default 3×) wall-clock — the capacity
+  run by ``--min-speedup`` (default 3×) wall-clock — the capacity
   unlock this suite exists to protect.  The serial/parallel cell ratio is
   also recorded; it only demonstrates scaling when ≥4 CPUs are available,
   so it is reported rather than gated.
@@ -72,7 +72,7 @@ instance against a checked-in baseline:
 ``--suite obs`` gates the streaming SLO observability plane:
 
 - windowed SLO metrics must be **bit-identical** across the event loop, the
-  one-shot fast path, and the chunked streaming sweep on the fixed-seed sim
+  record-backed sweep, and the streaming sweep on the fixed-seed sim
   workload (``WindowedMetrics.fingerprint()`` and ``SLOReport.fingerprint()``
   equality — the integer-state contract);
 - a 1M-request *monitored* streaming run (fresh subprocess, windowed metrics
@@ -475,7 +475,7 @@ def measure_stream(rounds: int = 2) -> dict:
     probe = min(probes, key=lambda p: p["wall_s"])
     peak_rss_kb = max(p["peak_rss_kb"] for p in probes)
 
-    # streaming ≡ record-backed: same seed, chunk-size-∞ one-shot sweep
+    # streaming ≡ record-backed: same seed, records in event-loop order
     tasks, plan, cluster, cfg = _stream_workload()
     t0 = perf_counter()
     record_backed = simulate_plan(tasks, plan, cluster, cfg)
@@ -608,7 +608,7 @@ def check_stream(
     speedup = current["speedup_vs_records"]
     status = "OK" if speedup >= min_speedup else "FAIL"
     print(
-        f"{status} sharded streaming {speedup:.1f}x vs record-backed one-shot "
+        f"{status} sharded streaming {speedup:.1f}x vs record-backed run "
         f"(floor {min_speedup:.1f}x; record-backed {current['record_backed_s']:.2f}s)"
     )
     if speedup < min_speedup:
@@ -1399,8 +1399,8 @@ def measure_risk(rounds: int = 5) -> dict:
         name: snapshot[f"sim.{name}"] for name in SIM_GATED_COUNTERS
     }
 
-    # jitter on: fast path ≡ event loop (records bit-exact), streaming ≡
-    # one-shot (counters + scalar summary exact)
+    # jitter on: sweep ≡ event loop (records bit-exact), streaming ≡
+    # record-backed (counters + scalar summary exact)
     jcfg = replace(cfg, service_noise=RISK_JITTER_SIGMA)
     fast = simulate_plan(tasks, plan, cluster, jcfg)
     event = simulate_plan(tasks, plan, cluster, replace(jcfg, fast_path=False))
@@ -1487,7 +1487,7 @@ def check_risk(
          f"jitter sigma={RISK_JITTER_SIGMA}: fast-path report == event-loop "
          "report (bit-exact)"),
         ("jitter_stream_equal",
-         f"jitter sigma={RISK_JITTER_SIGMA}: streaming summary == one-shot "
+         f"jitter sigma={RISK_JITTER_SIGMA}: streaming summary == record-backed "
          "summary (exact)"),
     ):
         status = "OK" if current[key] else "FAIL"
@@ -1706,7 +1706,7 @@ def main(argv=None) -> int:
         default=3.0,
         help=(
             "stream suite: min wall-clock speedup of the sharded streaming "
-            "fan-out over the record-backed one-shot run (default 3x)"
+            "fan-out over the record-backed run (default 3x)"
         ),
     )
     ap.add_argument(

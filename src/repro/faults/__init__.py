@@ -2,17 +2,17 @@
 
 Deterministic, seed-derived fault schedules (:mod:`repro.faults.schedule`)
 are driven into the simulator by an injector (:mod:`repro.faults.injector`);
-the failure-aware runtime (:mod:`repro.faults.runtime`) detects failed
+the simulator's event loop (:mod:`repro.sim.eventloop`) detects failed
 offload stages and walks the :class:`FailurePolicy` recovery ladder —
 timeout, backoff retry, failover to a standby server slice, graceful
 degradation to the best on-device exit.  Entirely opt-in: with
-``SimulationConfig.faults`` unset, the base simulator paths run untouched
-and fixed-seed outputs are bit-identical to pre-fault builds.
+``SimulationConfig.faults`` unset the event loop never engages its fault
+hooks (no standby slices, no fault-state or schedule lookups), and the
+vectorized sweep stays eligible.
 """
 
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import FailurePolicy, PlanUpdate
-from repro.faults.runtime import simulate_with_faults
 from repro.faults.schedule import (
     FAULT_KINDS,
     FaultEvent,
@@ -28,5 +28,4 @@ __all__ = [
     "FailurePolicy",
     "PlanUpdate",
     "sample_fault_schedule",
-    "simulate_with_faults",
 ]

@@ -158,7 +158,7 @@ class FaultSchedule:
     ) -> Optional[float]:
         """Earliest ``kind`` window start on ``target`` in ``(t0, t1)``.
 
-        The failure-aware runtime uses this to detect crash-during-service:
+        The event loop's fault hooks use this to detect crash-during-service:
         a stage submitted at ``t0`` with service finishing at ``t1`` is
         interrupted iff the resource goes down strictly inside the interval.
         """

@@ -27,16 +27,45 @@ orderings:
   all arrivals are scheduled before the run starts and hold the lowest
   sequence numbers).
 
+There is one sweep, :func:`sweep_chunked`, and it runs window by window.
+Three facts make the chunking lossless:
+
+1. Every stochastic column is chunkable: arrival streams replay the
+   whole-horizon draw order (``repro.sim.sources.ArrivalStream``), difficulty
+   draws are stream-sequential, and exec/jitter uniforms are counter-based
+   (addressed by request index), so realizing requests window by window
+   yields bit-identical columns.
+2. Device submissions are ordered by ``(arrival, task order)``, and window
+   boundaries split by arrival — every submission of window *k* precedes
+   every submission of window *k+1*, so per-window sweeps see the global
+   submission order.
+3. Offload-stage submissions are ordered by the *previous* stage's finish
+   times, which do not respect window boundaries; each stage therefore
+   buffers pending submissions and only flushes entries whose stage key is
+   strictly below the window edge ``t1``.  That is safe because any
+   request realized in a later window has all stage timestamps ≥ its
+   arrival ≥ ``t1``; within the flush, a stable argsort over
+   ``[sorted carry-over ‖ new batch in request order]`` reproduces the
+   global stable submission order (carry-over entries hold smaller request
+   ids than any new entry, so ties resolve identically).
+
+Each resource's ``sweep`` carries its busy horizon and busy-time
+accumulator across calls with sequential-scalar semantics, so splitting one
+sweep into many changes no bits.  Completed requests go to a *sink*:
+streaming runs fold them into a bounded :class:`StreamingStats` accumulator
+(observation order is irrelevant to every value it keeps), record-backed
+runs hand them to a :class:`RecordSink`, which orders the collected columns
+by the record-order key at the end.  Per-request state travels as one 2-D
+float64 payload (rows below), so stage timestamps ride along at no extra
+per-window concatenation.
+
 Eligibility is decided by the caller (:func:`~repro.sim.runner.simulate_plan`):
-any telemetry recorder forces the event loop, since gauges sample on event
-boundaries the fast path does not visit.  Everything else — bandwidth
-traces included (``LinkResource.sweep`` reuses the exact trace integration) —
-is fast-path eligible.
+telemetry, ``fast_path=False`` and fault runs take the event loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,141 +76,27 @@ from repro.rng_vec import first_uniforms
 from repro.sim.entities import RequestRecord
 from repro.sim.execution import RealizationTable, jitter_factors, jitter_materials
 from repro.sim.metrics import SimCounters, StreamingStats
-from repro.sim.queues import FifoResource, LinkResource
-from repro.sim.sources import arrival_stream, arrival_times
+from repro.sim.queues import FifoResource
+from repro.sim.sources import arrival_stream
 from repro.telemetry.windows import WindowedMetrics
 
-__all__ = ["sweep_pipeline", "sweep_pipeline_streaming"]
+if TYPE_CHECKING:
+    from repro.sim.eventloop import Route
+    from repro.sim.runner import SimulationConfig
 
+__all__ = ["RecordSink", "sweep_chunked"]
 
-class _TaskStream:
-    """Realized request stream of one task (all arrays indexed by req_id)."""
+#: rows of the per-request payload (one column per request, all float64)
+(
+    _REQ, _ARRIVAL, _DEADLINE, _POS, _CORRECT,
+    _DEV_FLOPS, _UP_BYTES, _SRV_FLOPS, _DOWN_BYTES,
+    _DEV_BUSY, _NET_BUSY, _SRV_BUSY,
+    _DEV_DONE, _UP_DONE, _SRV_DONE,
+) = range(15)
+_ROWS = 15
 
-    __slots__ = (
-        "task", "n", "arrival", "deadline", "positions", "offloaded", "correct",
-        "dev_flops", "srv_flops", "up_bytes", "down_bytes",
-        "dev_start", "dev_done", "uplink_delivery", "server_done",
-        "completion", "srv_busy", "net_busy",
-    )
-
-    def __init__(self, task: TaskSpec, plan: JointPlan, cfg) -> None:
-        self.task = task
-        arrival = arrival_times(
-            task.arrival_rate,
-            cfg.horizon_s,
-            cfg.arrival,
-            cfg.burst_factor,
-            derive(cfg.seed, "arrivals", task.name),
-        )
-        diff_rng = derive(cfg.seed, "difficulty", task.name)
-        difficulties = np.clip(
-            task.model.difficulty.sample(diff_rng, arrival.size), 0.0, 1.0
-        )
-        n = arrival.size
-        self.n = n
-        self.arrival = arrival.astype(np.float64)
-        self.deadline = self.arrival + task.deadline_s
-
-        table = RealizationTable(task.model, plan.features[task.name].plan)
-        pos = table.positions(difficulties)
-        uniforms = first_uniforms(
-            derive_material(cfg.seed, "exec", task.name), np.arange(n)
-        )
-        self.positions = pos
-        self.offloaded = table.offloaded[pos]
-        self.correct = uniforms < table.p_correct(pos, difficulties)
-        self.dev_flops = table.dev_flops[pos]
-        self.srv_flops = table.srv_flops[pos]
-        self.up_bytes = table.up_bytes[pos]
-        self.down_bytes = table.down_bytes[pos]
-        sigma = getattr(cfg, "service_noise", 0.0)
-        if sigma > 0:
-            # per-(task, stage) counter-based draws — the same factors the
-            # event loop applies per request via jitter_demand
-            mats = jitter_materials(cfg.seed, task.name)
-            ids = np.arange(n)
-            self.dev_flops = self.dev_flops * jitter_factors(mats["dev"], ids, sigma)
-            self.srv_flops = self.srv_flops * jitter_factors(mats["srv"], ids, sigma)
-            self.up_bytes = self.up_bytes * jitter_factors(mats["up"], ids, sigma)
-            self.down_bytes = self.down_bytes * jitter_factors(mats["down"], ids, sigma)
-
-        self.dev_start = np.empty(n)
-        self.dev_done = np.empty(n)
-        self.uplink_delivery = np.full(n, -np.inf)
-        self.server_done = np.full(n, -np.inf)
-        self.completion = np.empty(n)
-        self.srv_busy = np.zeros(n)
-        self.net_busy = np.zeros(n)
-
-
-def _sweep_devices(
-    streams: Sequence[_TaskStream], device_res: Dict[str, FifoResource]
-) -> None:
-    """Run every shared device resource over its tasks' merged arrivals.
-
-    The event loop submits device work while arrival events fire, i.e. in
-    ``(arrival time, global scheduling index)`` order; concatenating the
-    device's streams in task order *is* global-index order, so a stable
-    argsort by arrival reproduces it exactly.
-    """
-    by_device: Dict[str, List[_TaskStream]] = {}
-    for s in streams:
-        by_device.setdefault(s.task.device_name, []).append(s)
-    for dname, members in by_device.items():
-        arrival = np.concatenate([s.arrival for s in members])
-        work = np.concatenate([s.dev_flops for s in members])
-        order = np.argsort(arrival, kind="stable")
-        starts, finishes = device_res[dname].sweep(arrival[order], work[order])
-        all_starts = np.empty_like(arrival)
-        all_done = np.empty_like(arrival)
-        all_starts[order] = starts
-        all_done[order] = finishes
-        off = 0
-        for s in members:
-            s.dev_start = all_starts[off : off + s.n]
-            s.dev_done = all_done[off : off + s.n]
-            off += s.n
-
-
-def _sweep_offload_stages(
-    stream: _TaskStream,
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
-) -> None:
-    """Uplink → server → downlink for one task's offloaded requests.
-
-    Each stage's submission order is the stable sort of the previous stage's
-    completion times over the previous stage's processing order (stage
-    events inherit heap-sequence order from their schedulers), so the orders
-    chain: ``ord_u`` over device completions in request order, then re-sorts
-    by each stage's own finish times.
-    """
-    name = stream.task.name
-    off_idx = np.flatnonzero(stream.offloaded)
-    stream.completion = stream.dev_done.copy()
-    if off_idx.size == 0:
-        return
-    ord_u = off_idx[np.argsort(stream.dev_done[off_idx], kind="stable")]
-    u_start, u_deliver = task_uplink_res[name].sweep(
-        stream.dev_done[ord_u], stream.up_bytes[ord_u]
-    )
-    stream.uplink_delivery[ord_u] = u_deliver
-    stream.net_busy[ord_u] = u_deliver - u_start
-
-    ord_s = ord_u[np.argsort(u_deliver, kind="stable")]
-    s_start, s_done = task_server_res[name].sweep(
-        stream.uplink_delivery[ord_s], stream.srv_flops[ord_s]
-    )
-    stream.server_done[ord_s] = s_done
-    stream.srv_busy[ord_s] = s_done - s_start
-
-    ord_d = ord_s[np.argsort(s_done, kind="stable")]
-    d_start, d_deliver = task_downlink_res[name].sweep(
-        stream.server_done[ord_d], stream.down_bytes[ord_d]
-    )
-    stream.completion[ord_d] = d_deliver
-    stream.net_busy[ord_d] += d_deliver - d_start
+#: ``emit(task_index, payload, completion, offloaded)`` — a sink's intake
+Emit = Callable[[int, np.ndarray, np.ndarray, bool], None]
 
 
 def _record_order(
@@ -191,6 +106,8 @@ def _record_order(
     server_done: np.ndarray,
     uplink_delivery: np.ndarray,
     device_done: np.ndarray,
+    task_index: np.ndarray,
+    req_id: np.ndarray,
 ) -> np.ndarray:
     """Global completion-callback order of the event loop.
 
@@ -199,210 +116,155 @@ def _record_order(
     uplink ← arrival for offloaded; finish ← arrival for non-offloaded).
     ``-inf`` in the offload-only key slots encodes that an arrival event
     outranks any same-time dynamic event; remaining full ties fall back to
-    lexsort's stability, i.e. global scheduling index.
+    the global scheduling index, i.e. ``(task index, request id)``.
     """
     neg_inf = np.float64(-np.inf)
     k2 = np.where(offloaded, server_done, arrival)
     k3 = np.where(offloaded, uplink_delivery, neg_inf)
     k4 = np.where(offloaded, device_done, neg_inf)
     k5 = np.where(offloaded, arrival, neg_inf)
-    return np.lexsort((k5, k4, k3, k2, completion))
+    return np.lexsort((req_id, task_index, k5, k4, k3, k2, completion))
 
 
-def sweep_pipeline(
-    tasks: Sequence[TaskSpec],
-    plan: JointPlan,
-    cfg,
-    device_res: Dict[str, FifoResource],
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
-    windowed: "WindowedMetrics | None" = None,
-) -> Tuple[List[RequestRecord], int, SimCounters]:
-    """Vectorized equivalent of the event loop over already-built resources.
+class RecordSink:
+    """Completion sink of record-backed runs: records in event-loop order.
 
-    Mutates the resources exactly as the event loop would (busy horizons,
-    busy time, job counts) and returns ``(records, discarded, counters)``
-    where ``records`` is warmup-filtered and in the event loop's completion
-    order.  Bit-identical to the event path by construction.  With
-    ``windowed`` set, warmup-filtered completions additionally fold into the
-    tumbling-window aggregator (integer state bit-identical to the event
-    loop's scalar feed — window/bin indices use the same double ops).
+    Collects every warm completion's payload columns as the sweep emits
+    them and, in :meth:`records`, orders them by :func:`_record_order` —
+    the order in which the event loop's completion callbacks would have
+    recorded them.  With ``windowed`` set, completions also fold into the
+    tumbling-window aggregator as they arrive (the same feed the streaming
+    accumulator uses, so the integer state is engine-independent).
     """
-    streams = [_TaskStream(t, plan, cfg) for t in tasks]
-    total = sum(s.n for s in streams)
-    if total == 0:
-        raise SimulationError("no requests generated; horizon or rates too small")
 
-    _sweep_devices(streams, device_res)
-    for s in streams:
-        _sweep_offload_stages(
-            s, task_server_res, task_uplink_res, task_downlink_res
-        )
-        if windowed is not None:
-            keep = s.arrival >= cfg.warmup_s
-            comp = s.completion[keep]
-            windowed.observe(
-                s.task.name,
-                comp,
-                comp - s.arrival[keep],
-                comp <= s.deadline[keep] + 1e-12,
+    def __init__(
+        self, names: Sequence[str], windowed: Optional[WindowedMetrics] = None
+    ) -> None:
+        self.names = list(names)
+        self.windowed = windowed
+        self._parts: List[Tuple[int, np.ndarray, np.ndarray, bool]] = []
+
+    def __call__(
+        self, i: int, pay: np.ndarray, completion: np.ndarray, offloaded: bool
+    ) -> None:
+        self._parts.append((i, pay, completion, offloaded))
+        if self.windowed is not None:
+            self.windowed.observe(
+                self.names[i],
+                completion,
+                completion - pay[_ARRIVAL],
+                completion <= pay[_DEADLINE] + 1e-12,
             )
 
-    arrival = np.concatenate([s.arrival for s in streams])
-    completion = np.concatenate([s.completion for s in streams])
-    offloaded = np.concatenate([s.offloaded for s in streams])
-    order = _record_order(
-        completion,
-        arrival,
-        offloaded,
-        np.concatenate([s.server_done for s in streams]),
-        np.concatenate([s.uplink_delivery for s in streams]),
-        np.concatenate([s.dev_done for s in streams]),
-    )
-    if np.any(completion < arrival):  # pragma: no cover - structural invariant
-        bad = int(np.argmax(completion < arrival))
-        raise SimulationError(f"request #{bad} completes before it arrives")
-
-    task_names = np.concatenate(
-        [np.full(s.n, i, dtype=np.intp) for i, s in enumerate(streams)]
-    )
-    req_ids = np.concatenate([np.arange(s.n, dtype=np.intp) for s in streams])
-    deadline = np.concatenate([s.deadline for s in streams])
-    positions = np.concatenate([s.positions for s in streams])
-    correct = np.concatenate([s.correct for s in streams])
-    dev_busy = np.concatenate([s.dev_done - s.dev_start for s in streams])
-    srv_busy = np.concatenate([s.srv_busy for s in streams])
-    net_busy = np.concatenate([s.net_busy for s in streams])
-
-    warmup = cfg.warmup_s
-    names = [s.task.name for s in streams]
-    records: List[RequestRecord] = []
-    for g in order.tolist():
-        a = arrival[g]
-        if a < warmup:
-            continue
-        records.append(
+    def records(self) -> List[RequestRecord]:
+        if not self._parts:
+            return []
+        parts = self._parts
+        pay = np.concatenate([p for _, p, _, _ in parts], axis=1)
+        completion = np.concatenate([c for _, _, c, _ in parts])
+        offloaded = np.concatenate([np.full(c.size, o) for _, _, c, o in parts])
+        task = np.concatenate([np.full(c.size, i, dtype=np.intp) for i, _, c, _ in parts])
+        if np.any(completion < pay[_ARRIVAL]):  # pragma: no cover - structural invariant
+            bad = int(np.argmax(completion < pay[_ARRIVAL]))
+            raise SimulationError(f"request #{bad} completes before it arrives")
+        order = _record_order(
+            completion, pay[_ARRIVAL], offloaded, pay[_SRV_DONE], pay[_UP_DONE],
+            pay[_DEV_DONE], task, pay[_REQ],
+        )
+        pay = pay[:, order]
+        names = self.names
+        return [
             RequestRecord(
-                task_name=names[task_names[g]],
-                req_id=int(req_ids[g]),
-                arrival_s=float(a),
-                completion_s=float(completion[g]),
-                deadline_s=float(deadline[g]),
-                exit_position=int(positions[g]),
-                offloaded=bool(offloaded[g]),
-                correct=bool(correct[g]),
-                dev_busy_s=float(dev_busy[g]),
-                srv_busy_s=float(srv_busy[g]),
-                net_busy_s=float(net_busy[g]),
+                task_name=names[t],
+                req_id=r,
+                arrival_s=a,
+                completion_s=c,
+                deadline_s=d,
+                exit_position=p,
+                offloaded=o,
+                correct=ok,
+                dev_busy_s=db,
+                srv_busy_s=sb,
+                net_busy_s=nb,
             )
+            for t, r, a, c, d, p, o, ok, db, sb, nb in zip(
+                task[order].tolist(),
+                pay[_REQ].astype(np.int64).tolist(),
+                pay[_ARRIVAL].tolist(),
+                completion[order].tolist(),
+                pay[_DEADLINE].tolist(),
+                pay[_POS].astype(np.int64).tolist(),
+                offloaded[order].tolist(),
+                (pay[_CORRECT] != 0).tolist(),
+                pay[_DEV_BUSY].tolist(),
+                pay[_SRV_BUSY].tolist(),
+                pay[_NET_BUSY].tolist(),
+            )
+        ]
+
+
+def _stats_emitter(stats: StreamingStats, names: Sequence[str]) -> Emit:
+    """Adapt a :class:`StreamingStats` accumulator to the sweep's sink intake."""
+
+    def emit(i: int, pay: np.ndarray, completion: np.ndarray, offloaded: bool) -> None:
+        stats.observe(
+            names[i],
+            pay[_REQ].astype(np.int64),
+            pay[_ARRIVAL],
+            completion,
+            pay[_DEADLINE],
+            pay[_POS].astype(np.int64),
+            np.full(completion.size, offloaded),
+            pay[_CORRECT].astype(bool),
+            pay[_DEV_BUSY],
+            pay[_SRV_BUSY],
+            pay[_NET_BUSY],
         )
-    discarded = total - len(records)
-    n_off = int(np.count_nonzero(offloaded))
-    counters = SimCounters(
-        requests=total,
-        records=len(records),
-        discarded_warmup=discarded,
-        events=2 * (total - n_off) + 5 * n_off,
-        replications=1,
-    )
-    return records, discarded, counters
+
+    return emit
 
 
-# -- chunked streaming sweep ---------------------------------------------------
-#
-# The streaming sweep replays the exact per-resource recurrences of
-# ``sweep_pipeline`` window by window instead of over one giant array.  Three
-# facts make the chunking lossless:
-#
-# 1. Every stochastic column is chunkable: arrival streams replay the
-#    one-shot draw order (``repro.sim.sources.ArrivalStream``), difficulty
-#    draws are stream-sequential, and exec uniforms are counter-based
-#    (addressed by request index), so realizing requests window by window
-#    yields bit-identical columns.
-# 2. Device submissions are ordered by ``(arrival, task order)``, and window
-#    boundaries split by arrival — every submission of window *k* precedes
-#    every submission of window *k+1*, so per-window sweeps see the global
-#    submission order.
-# 3. Offload-stage submissions are ordered by the *previous* stage's finish
-#    times, which do not respect window boundaries; each stage therefore
-#    buffers pending submissions and only flushes entries whose stage key is
-#    strictly below the window edge ``t1``.  That is safe because any
-#    request realized in a later window has all stage timestamps ≥ its
-#    arrival ≥ ``t1``; within the flush, a stable argsort over
-#    ``[sorted carry-over ‖ new batch in request order]`` reproduces the
-#    global stable submission order (carry-over entries hold smaller request
-#    ids than any new entry, so ties resolve identically).
-#
-# Each resource's ``sweep`` carries its busy horizon and busy-time
-# accumulator across calls with sequential-scalar semantics, so splitting
-# one sweep into many changes no bits.  Completed requests fold straight
-# into a ``StreamingStats`` accumulator — the event loop's record *order* is
-# not reproduced (it only affects the order of observation, not any value),
-# which is what lets the sweep retire requests without a global completion
-# buffer.
-
-
-#: per-request payload carried through the offload-stage buffers; a single
-#: superset of columns (all float64) keeps the buffers homogeneous
-_STAGE_COLS = (
-    "req_id", "arrival", "deadline", "position", "correct",
-    "dev_busy", "net_busy", "srv_busy", "up_bytes", "srv_flops", "down_bytes",
-)
+_EMPTY = np.empty((_ROWS, 0), dtype=np.float64)
 
 
 class _StageBuffer:
     """Pending submissions of one pipeline stage, in submission order.
 
-    Holds ``(key, payload)`` rows where ``key`` is the previous stage's
+    Holds payload columns keyed by row ``key_row`` — the previous stage's
     finish time (= this stage's submission time).  :meth:`push_flush`
     appends a batch in request order, restores global submission order with
-    a stable argsort, and splits off every row with ``key < threshold``.
+    a stable argsort, and splits off every column with ``key < threshold``.
     """
 
-    __slots__ = ("key", "cols")
+    __slots__ = ("key_row", "payload")
 
-    def __init__(self) -> None:
-        self.key = np.empty(0, dtype=np.float64)
-        self.cols = {name: np.empty(0, dtype=np.float64) for name in _STAGE_COLS}
+    def __init__(self, key_row: int) -> None:
+        self.key_row = key_row
+        self.payload = _EMPTY
 
-    @property
-    def pending(self) -> int:
-        return self.key.size
-
-    def push_flush(
-        self,
-        key: np.ndarray,
-        cols: Dict[str, np.ndarray],
-        threshold: float,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        if key.size:
-            merged_key = np.concatenate([self.key, key])
-            merged = {
-                name: np.concatenate([self.cols[name], cols[name]])
-                for name in _STAGE_COLS
-            }
-            order = np.argsort(merged_key, kind="stable")
-            merged_key = merged_key[order]
-            merged = {name: c[order] for name, c in merged.items()}
+    def push_flush(self, batch: np.ndarray, threshold: float) -> np.ndarray:
+        if batch.shape[1]:
+            merged = (
+                np.concatenate([self.payload, batch], axis=1)
+                if self.payload.shape[1] else batch
+            )
+            merged = merged[:, np.argsort(merged[self.key_row], kind="stable")]
         else:
-            merged_key, merged = self.key, self.cols
-        split = int(np.searchsorted(merged_key, threshold, side="left"))
-        out_key = merged_key[:split]
-        out = {name: c[:split] for name, c in merged.items()}
-        self.key = merged_key[split:]
-        self.cols = {name: c[split:] for name, c in merged.items()}
-        return out_key, out
+            merged = self.payload
+        split = int(np.searchsorted(merged[self.key_row], threshold, side="left"))
+        # copy the (in-flight) remainder so the flushed columns' storage is
+        # freed once the next stage has consumed them
+        self.payload = merged[:, split:].copy() if split else merged
+        return merged[:, :split]
 
 
 class _ChunkedTaskStream:
     """Incremental realization of one task's request stream.
 
-    Produces the same columns as :class:`_TaskStream`, window by window:
-    arrivals come from the replaying :func:`arrival_stream`, difficulties
-    from the same derived generator (stream-sequential draws), and exec
-    uniforms from the counter-based :func:`first_uniforms` addressed by
-    request index.
+    Arrivals come from the replaying :func:`arrival_stream`, difficulties
+    from the derived generator (stream-sequential draws), and exec/jitter
+    uniforms from counter-based draws addressed by request index — so any
+    window split realizes the same columns.
     """
 
     __slots__ = (
@@ -411,7 +273,7 @@ class _ChunkedTaskStream:
         "sigma", "jitter_mats",
     )
 
-    def __init__(self, task: TaskSpec, plan: JointPlan, cfg) -> None:
+    def __init__(self, task: TaskSpec, plan: JointPlan, cfg: "SimulationConfig") -> None:
         self.task = task
         self.table = RealizationTable(task.model, plan.features[task.name].plan)
         self.arrivals = arrival_stream(
@@ -425,244 +287,179 @@ class _ChunkedTaskStream:
         self.exec_material = derive_material(cfg.seed, "exec", task.name)
         self.generated = 0
         self.offloaded_total = 0
-        self.up_buf = _StageBuffer()
-        self.srv_buf = _StageBuffer()
-        self.down_buf = _StageBuffer()
-        self.sigma = getattr(cfg, "service_noise", 0.0)
+        self.up_buf = _StageBuffer(_DEV_DONE)
+        self.srv_buf = _StageBuffer(_UP_DONE)
+        self.down_buf = _StageBuffer(_SRV_DONE)
+        self.sigma = cfg.service_noise
         self.jitter_mats = (
             jitter_materials(cfg.seed, task.name) if self.sigma > 0 else None
         )
 
-    def realize(self, t_end: float) -> Dict[str, np.ndarray]:
-        """Realize the requests arriving in the current window."""
+    def realize(self, t_end: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Payload and offload mask of the requests arriving by ``t_end``."""
         arrival = self.arrivals.take_until(t_end)
         m = arrival.size
         difficulties = np.clip(
             self.task.model.difficulty.sample(self.diff_rng, m), 0.0, 1.0
         )
-        pos = self.table.positions(difficulties)
+        table = self.table
+        pos = table.positions(difficulties)
         req_id = np.arange(self.generated, self.generated + m, dtype=np.int64)
         uniforms = first_uniforms(self.exec_material, req_id)
         self.generated += m
-        offloaded = self.table.offloaded[pos]
+        offloaded = table.offloaded[pos]
         self.offloaded_total += int(np.count_nonzero(offloaded))
-        dev_flops = self.table.dev_flops[pos]
-        srv_flops = self.table.srv_flops[pos]
-        up_bytes = self.table.up_bytes[pos]
-        down_bytes = self.table.down_bytes[pos]
+        pay = np.empty((_ROWS, m), dtype=np.float64)
+        pay[_REQ] = req_id
+        pay[_ARRIVAL] = arrival
+        pay[_DEADLINE] = arrival + self.task.deadline_s
+        pay[_POS] = pos
+        pay[_CORRECT] = uniforms < table.p_correct(pos, difficulties)
+        pay[_DEV_FLOPS] = table.dev_flops[pos]
+        pay[_UP_BYTES] = table.up_bytes[pos]
+        pay[_SRV_FLOPS] = table.srv_flops[pos]
+        pay[_DOWN_BYTES] = table.down_bytes[pos]
         if self.jitter_mats is not None:
-            # counter-based draws addressed by request id: identical to the
-            # one-shot sweep's arange(n) batch regardless of window splits
-            dev_flops = dev_flops * jitter_factors(
-                self.jitter_mats["dev"], req_id, self.sigma
-            )
-            srv_flops = srv_flops * jitter_factors(
-                self.jitter_mats["srv"], req_id, self.sigma
-            )
-            up_bytes = up_bytes * jitter_factors(
-                self.jitter_mats["up"], req_id, self.sigma
-            )
-            down_bytes = down_bytes * jitter_factors(
-                self.jitter_mats["down"], req_id, self.sigma
-            )
-        return {
-            "req_id": req_id,
-            "arrival": arrival.astype(np.float64),
-            "deadline": arrival + self.task.deadline_s,
-            "positions": pos,
-            "offloaded": offloaded,
-            "correct": uniforms < self.table.p_correct(pos, difficulties),
-            "dev_flops": dev_flops,
-            "srv_flops": srv_flops,
-            "up_bytes": up_bytes,
-            "down_bytes": down_bytes,
-        }
+            # the same per-(task, stage) factors the event loop applies per
+            # request via jitter_demand, regardless of window splits
+            for row, stage in (
+                (_DEV_FLOPS, "dev"), (_SRV_FLOPS, "srv"),
+                (_UP_BYTES, "up"), (_DOWN_BYTES, "down"),
+            ):
+                pay[row] *= jitter_factors(self.jitter_mats[stage], req_id, self.sigma)
+        pay[_NET_BUSY] = 0.0
+        pay[_SRV_BUSY] = 0.0
+        pay[_UP_DONE] = -np.inf
+        pay[_SRV_DONE] = -np.inf
+        return pay, offloaded
 
 
 def _sweep_devices_window(
-    batches: "List[Tuple[_ChunkedTaskStream, Dict[str, np.ndarray]]]",
+    streams: Sequence[_ChunkedTaskStream],
+    payloads: Sequence[np.ndarray],
     device_res: Dict[str, FifoResource],
 ) -> None:
-    """Windowed :func:`_sweep_devices`: merged arrival-order device sweeps.
+    """Merged arrival-order sweep of every shared device over one window.
 
-    Adds ``dev_start`` / ``dev_done`` columns to each batch in place.
+    The event loop submits device work while arrival events fire, i.e. in
+    ``(arrival time, global scheduling index)`` order; concatenating the
+    device's payloads in task order *is* global-index order, so a stable
+    argsort by arrival reproduces it exactly.  Fills each payload's
+    ``_DEV_BUSY`` / ``_DEV_DONE`` rows in place.
     """
-    by_device: Dict[str, List[Tuple[_ChunkedTaskStream, Dict[str, np.ndarray]]]] = {}
-    for s, batch in batches:
-        by_device.setdefault(s.task.device_name, []).append((s, batch))
+    by_device: Dict[str, List[np.ndarray]] = {}
+    for s, pay in zip(streams, payloads):
+        by_device.setdefault(s.task.device_name, []).append(pay)
     for dname, members in by_device.items():
-        arrival = np.concatenate([b["arrival"] for _, b in members])
+        arrival = np.concatenate([p[_ARRIVAL] for p in members])
         if arrival.size == 0:
-            for _, b in members:
-                b["dev_start"] = np.empty(0)
-                b["dev_done"] = np.empty(0)
             continue
-        work = np.concatenate([b["dev_flops"] for _, b in members])
+        work = np.concatenate([p[_DEV_FLOPS] for p in members])
         order = np.argsort(arrival, kind="stable")
         starts, finishes = device_res[dname].sweep(arrival[order], work[order])
-        all_starts = np.empty_like(arrival)
-        all_done = np.empty_like(arrival)
-        all_starts[order] = starts
-        all_done[order] = finishes
+        done = np.empty_like(arrival)
+        busy = np.empty_like(arrival)
+        done[order] = finishes
+        busy[order] = finishes - starts
         off = 0
-        for _, b in members:
-            n = b["arrival"].size
-            b["dev_start"] = all_starts[off : off + n]
-            b["dev_done"] = all_done[off : off + n]
+        for p in members:
+            n = p.shape[1]
+            p[_DEV_DONE] = done[off : off + n]
+            p[_DEV_BUSY] = busy[off : off + n]
             off += n
 
 
-def _observe_completions(
-    stats: StreamingStats,
-    task_name: str,
-    warmup_s: float,
-    req_ids: np.ndarray,
-    arrival: np.ndarray,
-    completion: np.ndarray,
-    deadline: np.ndarray,
-    positions: np.ndarray,
-    offloaded: np.ndarray,
-    correct: np.ndarray,
-    dev_busy: np.ndarray,
-    srv_busy: np.ndarray,
-    net_busy: np.ndarray,
+def _emit_warm(
+    emit: Emit, i: int, pay: np.ndarray, completion: np.ndarray,
+    offloaded: bool, warmup_s: float,
 ) -> int:
-    """Fold final completions into the accumulator; return warmup discards."""
-    keep = arrival >= warmup_s
+    """Hand the post-warmup completions to the sink; return the discards."""
+    keep = pay[_ARRIVAL] >= warmup_s
     kept = int(np.count_nonzero(keep))
-    if kept:
-        stats.observe(
-            task_name,
-            req_ids[keep].astype(np.int64),
-            arrival[keep],
-            completion[keep],
-            deadline[keep],
-            positions[keep].astype(np.int64),
-            offloaded[keep].astype(bool),
-            correct[keep].astype(bool),
-            dev_busy[keep],
-            srv_busy[keep],
-            net_busy[keep],
-        )
-    return int(arrival.size) - kept
+    if kept == keep.size:
+        emit(i, pay, completion, offloaded)
+    elif kept:
+        emit(i, pay[:, keep], completion[keep], offloaded)
+    return keep.size - kept
 
 
 def _advance_task_window(
     s: _ChunkedTaskStream,
-    batch: Dict[str, np.ndarray],
+    i: int,
+    pay: np.ndarray,
+    offloaded: np.ndarray,
     threshold: float,
-    stats: StreamingStats,
     warmup_s: float,
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
+    route: "Optional[Route]",
+    emit: Emit,
 ) -> int:
     """Advance one task through uplink → server → downlink for one window.
 
-    Locally-completed requests from ``batch`` are observed immediately;
-    offloaded ones enter the stage buffers and are flushed stage by stage up
-    to ``threshold`` (the window edge, or ``inf`` on the final drain).
-    Returns the number of warmup-discarded completions this window.
+    Locally-completed requests are emitted immediately; offloaded ones enter
+    the stage buffers and are flushed stage by stage up to ``threshold``
+    (the window edge, or ``inf`` on the final drain).  Returns the number
+    of warmup-discarded completions this window.
     """
-    name = s.task.name
     discarded = 0
-    zeros = lambda m: np.zeros(m)  # noqa: E731 - tiny local helper
-
-    if batch["arrival"].size:
-        off = batch["offloaded"]
-        loc = ~off
-        if np.any(loc):
-            discarded += _observe_completions(
-                stats, name, warmup_s,
-                batch["req_id"][loc], batch["arrival"][loc],
-                batch["dev_done"][loc], batch["deadline"][loc],
-                batch["positions"][loc], off[loc], batch["correct"][loc],
-                batch["dev_done"][loc] - batch["dev_start"][loc],
-                zeros(int(np.count_nonzero(loc))), zeros(int(np.count_nonzero(loc))),
-            )
-        if np.any(off):
-            m = int(np.count_nonzero(off))
-            cols = {
-                "req_id": batch["req_id"][off].astype(np.float64),
-                "arrival": batch["arrival"][off],
-                "deadline": batch["deadline"][off],
-                "position": batch["positions"][off].astype(np.float64),
-                "correct": batch["correct"][off].astype(np.float64),
-                "dev_busy": batch["dev_done"][off] - batch["dev_start"][off],
-                "net_busy": zeros(m),
-                "srv_busy": zeros(m),
-                "up_bytes": batch["up_bytes"][off],
-                "srv_flops": batch["srv_flops"][off],
-                "down_bytes": batch["down_bytes"][off],
-            }
-            key = batch["dev_done"][off]
-        else:
-            key, cols = _empty_stage_batch()
-    else:
-        key, cols = _empty_stage_batch()
+    n_off = int(np.count_nonzero(offloaded))
+    if n_off < offloaded.size:
+        local = pay if n_off == 0 else pay[:, ~offloaded]
+        discarded += _emit_warm(emit, i, local, local[_DEV_DONE], False, warmup_s)
+    if n_off == 0:
+        pay = _EMPTY
+    elif n_off < offloaded.size:
+        pay = pay[:, offloaded]
 
     # uplink: submissions keyed by device completion
-    u_key, u_cols = s.up_buf.push_flush(key, cols, threshold)
-    if u_key.size:
-        u_start, u_deliver = task_uplink_res[name].sweep(u_key, u_cols["up_bytes"])
-        u_cols["net_busy"] = u_deliver - u_start
-    else:
-        u_deliver = u_key
+    up = s.up_buf.push_flush(pay, threshold)
+    if up.shape[1]:
+        start, deliver = route.up.sweep(up[_DEV_DONE], up[_UP_BYTES])
+        up[_NET_BUSY] = deliver - start
+        up[_UP_DONE] = deliver
 
     # server: submissions keyed by uplink delivery
-    s_key, s_cols = s.srv_buf.push_flush(u_deliver, u_cols, threshold)
-    if s_key.size:
-        s_start, s_done = task_server_res[name].sweep(s_key, s_cols["srv_flops"])
-        s_cols["srv_busy"] = s_done - s_start
-    else:
-        s_done = s_key
+    srv = s.srv_buf.push_flush(up, threshold)
+    if srv.shape[1]:
+        start, done = route.srv.sweep(srv[_UP_DONE], srv[_SRV_FLOPS])
+        srv[_SRV_BUSY] = done - start
+        srv[_SRV_DONE] = done
 
     # downlink: submissions keyed by server completion
-    d_key, d_cols = s.down_buf.push_flush(s_done, s_cols, threshold)
-    if d_key.size:
-        d_start, d_deliver = task_downlink_res[name].sweep(
-            d_key, d_cols["down_bytes"]
-        )
-        m = d_key.size
-        discarded += _observe_completions(
-            stats, name, warmup_s,
-            d_cols["req_id"], d_cols["arrival"], d_deliver, d_cols["deadline"],
-            d_cols["position"], np.ones(m, dtype=bool), d_cols["correct"],
-            d_cols["dev_busy"], d_cols["srv_busy"],
-            d_cols["net_busy"] + (d_deliver - d_start),
-        )
+    down = s.down_buf.push_flush(srv, threshold)
+    if down.shape[1]:
+        start, deliver = route.down.sweep(down[_SRV_DONE], down[_DOWN_BYTES])
+        down[_NET_BUSY] += deliver - start
+        discarded += _emit_warm(emit, i, down, deliver, True, warmup_s)
     return discarded
 
 
-def _empty_stage_batch() -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    empty = np.empty(0, dtype=np.float64)
-    return empty, {name: empty for name in _STAGE_COLS}
-
-
-def sweep_pipeline_streaming(
+def sweep_chunked(
     tasks: Sequence[TaskSpec],
     plan: JointPlan,
-    cfg,
+    cfg: "SimulationConfig",
     device_res: Dict[str, FifoResource],
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
-    stats: StreamingStats,
+    routes: "Dict[str, Route]",
+    sink: Union[StreamingStats, RecordSink],
 ) -> Tuple[int, SimCounters]:
-    """Chunked, bounded-memory equivalent of :func:`sweep_pipeline`.
+    """Vectorized equivalent of the event loop over already-built resources.
 
     Realizes arrivals in windows of roughly ``cfg.chunk_size`` requests,
     sweeps each resource window by window (bit-identical recurrences — see
-    module comment), and folds completions into ``stats`` instead of
-    materializing records.  Mutates the resources exactly as the one-shot
-    sweep would and returns ``(discarded, counters)``; per-request results
+    module docstring), and hands warm completions to ``sink``.  Mutates the
+    resources exactly as the event loop would (busy horizons, busy time,
+    job counts) and returns ``(discarded, counters)``; per-request results
     (and therefore utilizations, counters, and every integer-derived
-    aggregate) are bit-identical to the one-shot sweep on the same seed.
+    aggregate) are bit-identical to the event loop on the same seed for
+    any chunk size.
 
-    Memory stays O(chunk + in-flight requests): stage buffers only grow
-    with queue backlog, which is bounded in any stable configuration.
+    Memory stays O(chunk + in-flight requests) plus whatever the sink
+    keeps: stage buffers only grow with queue backlog, which is bounded in
+    any stable configuration.
     """
+    names = [t.name for t in tasks]
+    emit = sink if isinstance(sink, RecordSink) else _stats_emitter(sink, names)
     streams = [_ChunkedTaskStream(t, plan, cfg) for t in tasks]
+    task_routes = [routes.get(name) for name in names]
     total_rate = sum(t.arrival_rate for t in tasks)
     window_s = max(cfg.chunk_size / total_rate, 1e-9) if total_rate > 0 else cfg.horizon_s
     warmup = cfg.warmup_s
@@ -673,19 +470,18 @@ def sweep_pipeline_streaming(
         t1 = t + window_s
         last = t1 >= cfg.horizon_s
         threshold = np.inf if last else t1
-        batches = [(s, s.realize(min(t1, cfg.horizon_s))) for s in streams]
-        _sweep_devices_window(batches, device_res)
-        for s, batch in batches:
+        batches = [s.realize(min(t1, cfg.horizon_s)) for s in streams]
+        _sweep_devices_window(streams, [pay for pay, _ in batches], device_res)
+        for i, (s, (pay, offloaded)) in enumerate(zip(streams, batches)):
             discarded += _advance_task_window(
-                s, batch, threshold, stats, warmup,
-                task_server_res, task_uplink_res, task_downlink_res,
+                s, i, pay, offloaded, threshold, warmup, task_routes[i], emit
             )
         if last:
             break
         t = t1
 
     total = sum(s.generated for s in streams)
-    if total == 0 and not getattr(cfg, "allow_empty", False):
+    if total == 0 and not cfg.allow_empty:
         raise SimulationError("no requests generated; horizon or rates too small")
     n_off = sum(s.offloaded_total for s in streams)
     counters = SimCounters(

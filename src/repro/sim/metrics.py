@@ -31,9 +31,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.windows import KahanSum, LatencyHistogram, WindowedMetrics
 
-#: back-compat alias: the compensated sum moved to repro.telemetry.windows
-_KahanSum = KahanSum
-
 
 @dataclass
 class SimCounters:
@@ -140,8 +137,8 @@ class StreamingTaskStats:
         self.correct = 0
         self.offloaded = 0
         self.exit_sum = 0  # integer positions: the sum is exact
-        self.lat_sum = _KahanSum()
-        self.queue_sum = _KahanSum()
+        self.lat_sum = KahanSum()
+        self.queue_sum = KahanSum()
         self.max_latency_s = float("-inf")
 
     def observe(
@@ -322,7 +319,7 @@ class StreamingStats:
 
     @property
     def latency_sum_s(self) -> float:
-        total = _KahanSum()
+        total = KahanSum()
         for name in sorted(self.per_task):
             total.add(self.per_task[name].lat_sum.value)
         return total.value

@@ -18,12 +18,16 @@ come from each model's difficulty distribution.  A
 
 Two execution engines produce **bit-identical** reports on a fixed seed:
 
-- the **fast path** (default): all stochastic realization is pre-generated
-  as arrays and the FIFO pipeline is swept per resource in the event loop's
-  exact submission order (:mod:`repro.sim.fastpath`);
-- the **event loop**: the reference discrete-event engine, used whenever a
-  telemetry recorder is attached (gauges sample on event boundaries) or
-  ``fast_path=False`` forces it.
+- the **sweep** (default, :mod:`repro.sim.fastpath`): stochastic
+  realization is generated as arrays window by window and the FIFO
+  pipeline is swept per resource in the event loop's exact submission
+  order; completions go to a :class:`~repro.sim.fastpath.RecordSink`
+  (records in event-loop order) or, with ``streaming=True``, to a bounded
+  :class:`~repro.sim.metrics.StreamingStats` accumulator;
+- the **event loop** (:mod:`repro.sim.eventloop`): the reference
+  discrete-event engine, used whenever a telemetry recorder is attached
+  (gauges sample on event boundaries), ``fast_path=False`` forces it, or a
+  fault schedule is set (its fault hooks engage only then).
 
 Replications fan out deterministically via :func:`run_replications`:
 replication 0 runs ``cfg.seed`` unchanged (so one replication reproduces a
@@ -36,9 +40,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
@@ -47,20 +49,10 @@ from repro.errors import ConfigError, ReproError, SimulationError
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
 from repro.network.wireless import BandwidthTrace
-from repro.rng import derive, derive_from, derive_material, derive_seed
-from repro.sim.engine import Simulator
-from repro.sim.entities import Request, RequestRecord
-from repro.sim.execution import jitter_demand, jitter_materials, realize_request
-from repro.sim.fastpath import sweep_pipeline, sweep_pipeline_streaming
-from repro.sim.metrics import (
-    MetricsCollector,
-    SimCounters,
-    SimulationReport,
-    StreamingStats,
-    merge_reports,
-)
-from repro.sim.queues import FifoResource, LinkResource
-from repro.sim.sources import arrival_times
+from repro.rng import derive_seed
+from repro.sim.eventloop import build_devices, build_routes, run_event_loop, utilizations
+from repro.sim.fastpath import RecordSink, sweep_chunked
+from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
@@ -83,15 +75,16 @@ class SimulationConfig:
     telemetry: bool = False
     #: use the vectorized pipeline sweep when eligible (bit-identical to the
     #: event loop); set False to force the reference event loop.  Fault runs
-    #: (``faults`` set) always use the failure-aware event loop regardless —
-    #: the sweep cannot represent interrupted service.
+    #: (``faults`` set) always use the event loop regardless — the sweep
+    #: cannot represent interrupted service.
     fast_path: bool = True
     #: independent replications to run (see :func:`run_replications`)
     replications: int = 1
     #: worker processes for replication fan-out (1 = serial)
     sim_workers: int = 1
-    #: fault schedule to inject (None = fault-free: the base simulator paths
-    #: run untouched and fixed-seed outputs are bit-identical)
+    #: fault schedule to inject (None = fault-free: the event loop skips
+    #: every fault hook, and an empty schedule reproduces a fault-free run
+    #: bit for bit apart from the standby ``srv:*:fo`` utilization keys)
     faults: Optional[FaultSchedule] = None
     #: recovery ladder for failed offload stages; requires ``faults``.
     #: None under a schedule is the no-policy baseline (failures -> lost)
@@ -113,8 +106,8 @@ class SimulationConfig:
     hist_max_s: float = 30.0
     #: tumbling-window SLO aggregation (:class:`~repro.telemetry.windows.
     #: WindowConfig`); unlike per-request telemetry this works on *every*
-    #: engine — event loop, one-shot fast path, chunked streaming sweep, and
-    #: fault runs — with bit-identical integer state, and lands in
+    #: engine — event loop (fault runs included) and the sweep, record-backed
+    #: or streaming — with bit-identical integer state, and lands in
     #: ``SimulationReport.windowed``.  None (default) costs nothing.
     windows: Optional[WindowConfig] = None
     #: internal (set by :func:`run_cells`): a run that generates zero
@@ -174,7 +167,7 @@ class SimulationConfig:
             if self.faults is not None:
                 raise ConfigError(
                     "streaming is incompatible with fault schedules (fault "
-                    "runs use the failure-aware event loop)"
+                    "runs use the event loop)"
                 )
         if self.faults is not None:
             # FaultEvent/FailurePolicy validate their own knobs; here we pin
@@ -187,64 +180,6 @@ class SimulationConfig:
                         f"t={e.start_s:.6g}, at/beyond the horizon "
                         f"{self.horizon_s:.6g}"
                     )
-
-
-def _build_resources(
-    tasks: Sequence[TaskSpec],
-    plan: JointPlan,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    cfg: SimulationConfig,
-    rec: Optional[TimelineRecorder],
-) -> Tuple[
-    Dict[str, FifoResource],
-    Dict[str, FifoResource],
-    Dict[str, LinkResource],
-    Dict[str, LinkResource],
-]:
-    """FIFO resources of one run: shared devices + per-task server/link slices."""
-    device_res: Dict[str, FifoResource] = {}
-    for d in cluster.end_devices:
-        device_res[d.name] = FifoResource(
-            f"dev:{d.name}", lm.throughput(d), overhead_s=d.overhead_s, recorder=rec
-        )
-    task_server_res: Dict[str, FifoResource] = {}
-    task_uplink_res: Dict[str, LinkResource] = {}
-    task_downlink_res: Dict[str, LinkResource] = {}
-    for t in tasks:
-        s = plan.assignment[t.name]
-        if s is None:
-            continue
-        server = cluster.servers[s]
-        link = cluster.link(t.device_name, server.name)
-        x = plan.compute_shares[t.name]
-        y = plan.bandwidth_shares[t.name]
-        task_server_res[t.name] = FifoResource(
-            f"srv:{t.name}", lm.throughput(server) * x, overhead_s=server.overhead_s,
-            recorder=rec,
-        )
-        # full-duplex: each direction gets its own serialization queue
-        for direction, store in (("up", task_uplink_res), ("down", task_downlink_res)):
-            store[t.name] = LinkResource(
-                f"link:{t.name}:{direction}",
-                link.bandwidth_bps,
-                rtt_s=link.rtt_s,
-                share=y,
-                trace=cfg.bandwidth_trace,
-                recorder=rec,
-            )
-    return device_res, task_server_res, task_uplink_res, task_downlink_res
-
-
-def _utilizations(
-    device_res: Dict[str, FifoResource],
-    task_server_res: Dict[str, FifoResource],
-    horizon_s: float,
-) -> Dict[str, float]:
-    utils = {r.name: r.utilization(horizon_s) for r in device_res.values()}
-    for r in task_server_res.values():
-        utils[r.name] = r.utilization(horizon_s)
-    return utils
 
 
 def simulate_plan(
@@ -265,11 +200,11 @@ def simulate_plan(
     always use the event loop.  Otherwise ``config.fast_path`` (default)
     selects the vectorized sweep, which is bit-identical on a fixed seed.
 
-    With ``config.faults`` set, the run dispatches to the failure-aware
-    event loop (:func:`repro.faults.runtime.simulate_with_faults`):
-    resources go down and recover per the schedule, failed offload stages
-    walk the ``config.failure_policy`` recovery ladder, and controller-
-    issued ``plan_updates`` re-provision arrivals mid-run.
+    With ``config.faults`` set, the event loop engages its fault hooks
+    (:mod:`repro.sim.eventloop`): resources go down and recover per the
+    schedule, failed offload stages walk the ``config.failure_policy``
+    recovery ladder, and controller-issued ``plan_updates`` re-provision
+    arrivals mid-run.
     """
     cfg = config or SimulationConfig()
     lm = latency_model or LatencyModel()
@@ -280,200 +215,41 @@ def simulate_plan(
             raise ConfigError(f"plan has no entry for task {t.name!r}")
 
     rec = recorder if recorder is not None else (TimelineRecorder() if cfg.telemetry else None)
-    if cfg.faults is not None:
-        from repro.faults.runtime import simulate_with_faults
-
-        return simulate_with_faults(tasks, plan, cluster, cfg, lm, rec, plan_updates)
-    if plan_updates:
+    if plan_updates and cfg.faults is None:
         raise ConfigError("plan_updates require a fault schedule")
     if cfg.streaming and rec is not None:
         raise ConfigError(
             "streaming runs cannot attach a per-request telemetry recorder; "
             "use windows=WindowConfig(...) for streaming-compatible metrics"
         )
-    resources = _build_resources(tasks, plan, cluster, lm, cfg, rec)
-    device_res, task_server_res, task_uplink_res, task_downlink_res = resources
+    if cfg.faults is not None or rec is not None or not cfg.fast_path:
+        return run_event_loop(tasks, plan, cluster, cfg, lm, rec, plan_updates)
+
+    device_res = build_devices(cluster, lm, None)
+    routes = build_routes(tasks, plan, cluster, lm, cfg, None)
     wm = (
         WindowedMetrics(cfg.windows, cfg.horizon_s)
         if cfg.windows is not None else None
     )
-
     if cfg.streaming:
-        stats = StreamingStats(
+        sink = StreamingStats(
             cfg.hist_bin_s, cfg.hist_max_s, cfg.max_records, seed=cfg.seed,
             windowed=wm,
         )
-        discarded, counters = sweep_pipeline_streaming(
-            tasks, plan, cfg,
-            device_res, task_server_res, task_uplink_res, task_downlink_res,
-            stats,
-        )
-        report = SimulationReport.from_stream(
-            stats,
-            cfg.horizon_s,
-            _utilizations(device_res, task_server_res, cfg.horizon_s),
-            discarded=discarded,
-        )
-        report.counters = counters
-        report.windowed = wm
-        return report
-
-    if rec is None and cfg.fast_path:
-        records, discarded, counters = sweep_pipeline(
-            tasks, plan, cfg,
-            device_res, task_server_res, task_uplink_res, task_downlink_res,
-            windowed=wm,
-        )
+    else:
+        sink = RecordSink([t.name for t in tasks], windowed=wm)
+    discarded, counters = sweep_chunked(tasks, plan, cfg, device_res, routes, sink)
+    utils = utilizations(
+        device_res, [r.srv for r in routes.values()], cfg.horizon_s
+    )
+    if cfg.streaming:
+        report = SimulationReport.from_stream(sink, cfg.horizon_s, utils, discarded=discarded)
+    else:
         report = SimulationReport.from_records(
-            records,
-            cfg.horizon_s,
-            _utilizations(device_res, task_server_res, cfg.horizon_s),
-            discarded=discarded,
+            sink.records(), cfg.horizon_s, utils, discarded=discarded
         )
-        report.counters = counters
-        report.windowed = wm
-        return report
-
-    reg = rec.registry if rec is not None else None
-    sim = Simulator()
-    if rec is not None:
-        sim.on_event = lambda now, pending: rec.sample("sim.pending_events", now, pending)
-    metrics = MetricsCollector(warmup_s=cfg.warmup_s)
-    # per-task child-seed prefix, cached so each request extends it with its
-    # id instead of re-hashing the task tokens (identical derived streams)
-    exec_material = {t.name: derive_material(cfg.seed, "exec", t.name) for t in tasks}
-    jitter_mats = (
-        {t.name: jitter_materials(cfg.seed, t.name) for t in tasks}
-        if cfg.service_noise > 0
-        else None
-    )
-
-    # -- request lifecycle -------------------------------------------------------
-    def launch(task: TaskSpec, req: Request) -> None:
-        model = task.model
-        feats = plan.features[task.name]
-        rng = derive_from(exec_material[task.name], req.req_id)
-        demand = realize_request(model, feats.plan, req.difficulty, rng, metrics=reg)
-        if jitter_mats is not None:
-            demand = jitter_demand(
-                demand, jitter_mats[task.name], req.req_id, cfg.service_noise
-            )
-        dres = device_res[task.device_name]
-
-        def finish(completion: float, dev_busy: float, srv_busy: float, net_busy: float) -> None:
-            if rec is not None:
-                rec.event(completion, "exit_taken", task.name, req.req_id,
-                          value=float(demand.exit_position))
-                rec.event(completion, "complete", task.name, req.req_id)
-                rec.registry.histogram("sim.latency_ms").observe(
-                    (completion - req.arrival_s) * 1e3
-                )
-            metrics.record(
-                RequestRecord(
-                    task_name=task.name,
-                    req_id=req.req_id,
-                    arrival_s=req.arrival_s,
-                    completion_s=completion,
-                    deadline_s=req.deadline_s,
-                    exit_position=demand.exit_position,
-                    offloaded=demand.offloaded,
-                    correct=demand.correct,
-                    dev_busy_s=dev_busy,
-                    srv_busy_s=srv_busy,
-                    net_busy_s=net_busy,
-                )
-            )
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                # same filter, latency, and met test as the fast-path feeds —
-                # the windowed integer state stays bit-identical across engines
-                wm.observe_one(
-                    task.name,
-                    completion,
-                    completion - req.arrival_s,
-                    completion <= req.deadline_s + 1e-12,
-                )
-
-        def stage_device() -> None:
-            if rec is not None:
-                rec.event(sim.now, "enqueue", task.name, req.req_id, resource=dres.name)
-            start, done = dres.submit(sim.now, demand.dev_flops)
-            if rec is not None:
-                rec.event(start, "dequeue", task.name, req.req_id, resource=dres.name)
-                rec.event(start, "exec_start", task.name, req.req_id, resource=dres.name)
-            dev_busy = done - start
-            if not demand.offloaded:
-                sim.schedule_at(done, lambda: finish(done, dev_busy, 0.0, 0.0))
-                return
-            sim.schedule_at(done, lambda: stage_uplink(dev_busy))
-
-        def stage_uplink(dev_busy: float) -> None:
-            lres = task_uplink_res[task.name]
-            start, done = lres.submit(sim.now, demand.up_bytes)
-            if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
-            net1 = done - start
-            sim.schedule_at(done, lambda: stage_server(dev_busy, net1))
-
-        def stage_server(dev_busy: float, net1: float) -> None:
-            sres = task_server_res[task.name]
-            start, done = sres.submit(sim.now, demand.srv_flops)
-            if rec is not None:
-                rec.event(start, "exec_start", task.name, req.req_id, resource=sres.name)
-            srv_busy = done - start
-            sim.schedule_at(done, lambda: stage_downlink(dev_busy, net1, srv_busy))
-
-        def stage_downlink(dev_busy: float, net1: float, srv_busy: float) -> None:
-            lres = task_downlink_res[task.name]
-            start, done = lres.submit(sim.now, demand.down_bytes)
-            if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
-            net = net1 + (done - start)
-            sim.schedule_at(done, lambda: finish(done, dev_busy, srv_busy, net))
-
-        stage_device()
-
-    # -- arrivals -------------------------------------------------------------
-    total = 0
-    for t in tasks:
-        times = arrival_times(
-            t.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
-            derive(cfg.seed, "arrivals", t.name),
-        )
-        diff_rng = derive(cfg.seed, "difficulty", t.name)
-        difficulties = t.model.difficulty.sample(diff_rng, times.size)
-        for i, (at, d) in enumerate(zip(times, difficulties)):
-            req = Request(
-                task_name=t.name,
-                req_id=i,
-                arrival_s=float(at),
-                difficulty=float(np.clip(d, 0.0, 1.0)),
-                deadline_s=float(at) + t.deadline_s,
-            )
-            sim.schedule_at(float(at), (lambda tt=t, rr=req: launch(tt, rr)))
-            total += 1
-    if total == 0:
-        raise SimulationError("no requests generated; horizon or rates too small")
-
-    sim.run()  # drain everything (all arrivals are bounded by the horizon)
-
-    report = metrics.report(
-        cfg.horizon_s,
-        _utilizations(device_res, task_server_res, cfg.horizon_s),
-        timeline=rec.timeline if rec is not None else None,
-        registry=reg,
-    )
-    report.counters = SimCounters(
-        requests=total,
-        records=len(metrics.records),
-        discarded_warmup=metrics.discarded,
-        events=sim.events_processed,
-        replications=1,
-    )
+    report.counters = counters
     report.windowed = wm
-    if reg is not None:
-        report.counters.publish(reg)
     return report
 
 

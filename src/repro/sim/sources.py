@@ -17,6 +17,19 @@ from repro.errors import ConfigError
 from repro.rng import SeedLike, as_generator
 
 
+#: cap on exponential gaps drawn per block, bounding a chunked stream's
+#: pending arrivals per task
+_POISSON_BLOCK_CAP = 8192
+
+
+def _poisson_block(rate: float, horizon_s: float) -> int:
+    """Gaps drawn per block: ~1.2x the expected count, so one block almost
+    always suffices, capped at ``_POISSON_BLOCK_CAP``.  The one-shot
+    generator and :class:`PoissonStream` use the same size, so both
+    accumulate arrival times block by block identically."""
+    return min(_POISSON_BLOCK_CAP, max(16, int(rate * horizon_s * 1.2) + 16))
+
+
 @dataclass(frozen=True)
 class PoissonArrivals:
     """Homogeneous Poisson process with mean rate ``rate`` (req/s)."""
@@ -34,7 +47,7 @@ class PoissonArrivals:
         # draw in blocks until past the horizon
         out = []
         t = 0.0
-        block = max(16, int(self.rate * horizon_s * 1.2) + 16)
+        block = _poisson_block(self.rate, horizon_s)
         while t < horizon_s:
             gaps = rng.exponential(1.0 / self.rate, size=block)
             times = t + np.cumsum(gaps)
@@ -188,11 +201,7 @@ class ArrivalStream:
 
 
 class PoissonStream(ArrivalStream):
-    """Chunked :class:`PoissonArrivals` (identical gap sequence)."""
-
-    #: exponential gaps drawn per refill; any value yields the same arrivals
-    #: (stream-sequential draws), this one just amortizes call overhead
-    BLOCK = 8192
+    """Chunked :class:`PoissonArrivals` (identical gap sequence and blocks)."""
 
     def __init__(self, rate: float, horizon_s: float, seed: SeedLike = None) -> None:
         if rate <= 0:
@@ -201,13 +210,16 @@ class PoissonStream(ArrivalStream):
         self.rate = rate
         self._rng = as_generator(seed)
         self._t = 0.0  # last generated arrival (buffer tail)
+        # same block size as the one-shot generator: ``t + cumsum(block)``
+        # then rounds identically, not just the underlying draws
+        self._block = _poisson_block(rate, horizon_s)
 
     def _refill(self, t_end: float) -> None:
         del t_end
         if self._t >= self.horizon_s:
             self._exhausted = True
             return
-        gaps = self._rng.exponential(1.0 / self.rate, size=self.BLOCK)
+        gaps = self._rng.exponential(1.0 / self.rate, size=self._block)
         times = self._t + np.cumsum(gaps)
         self._t = float(times[-1])
         self._buffer = np.concatenate([self._buffer, times])

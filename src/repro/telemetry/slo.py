@@ -142,8 +142,8 @@ class SLOReport:
 
         Burn-rate series are doubles, but each is a quotient of integer
         window sums — identical integers give identical doubles — so the
-        fingerprint is bit-stable across the event loop, the one-shot fast
-        path, and the chunked streaming sweep.
+        fingerprint is bit-stable across the event loop and the sweep,
+        record-backed or streaming.
         """
         h = hashlib.sha256()
         h.update(f"{self.window_s}:{self.horizon_s}:{self.policy}".encode())

@@ -3,11 +3,9 @@
 The unit tests in ``tests/sim/test_streaming.py`` pin specific seeds and
 chunk sizes; these properties draw over the cross product —
 arrival model × chunk size × seed × shard count — and assert the
-streaming-equivalence contract every time:
+streaming-equivalence contract every time (record-set identity of chunked
+streaming is part of ``tests/property/test_engine_matrix.py``):
 
-- chunked streaming with a keep-all reservoir reproduces the one-shot fast
-  path's record set bit-for-bit (chunking is an implementation detail, not
-  a semantic one);
 - record-free streaming summaries agree with record-backed summaries:
   integer-derived scalars exactly, mean latency to float-sum tolerance,
   histogram quantiles within one bin of the ceil-rank order statistic;
@@ -27,8 +25,6 @@ from repro.core.joint import JointOptimizer
 from repro.sim import SimulationConfig, run_cells
 from repro.sim.runner import simulate_plan
 
-KEEP_ALL = 10**6
-
 
 @pytest.fixture(scope="module")
 def solved(small_cluster, small_tasks, small_candidates):
@@ -43,34 +39,9 @@ def _cfg(seed, arrival, **overrides):
     return SimulationConfig(**kw)
 
 
-def _sorted_records(report):
-    return sorted(report.records, key=lambda r: (r.task_name, r.req_id))
-
-
 arrivals = st.sampled_from(["poisson", "deterministic", "mmpp"])
 chunk_sizes = st.one_of(st.integers(1, 128), st.just(10**9))
 seeds = st.integers(0, 50)
-
-
-@settings(max_examples=12, deadline=None)
-@given(arrival=arrivals, chunk_size=chunk_sizes, seed=seeds)
-def test_chunked_streaming_bit_identical(
-    small_cluster, small_tasks, solved, arrival, chunk_size, seed
-):
-    one_shot = simulate_plan(
-        small_tasks, solved, small_cluster, _cfg(seed, arrival)
-    )
-    streamed = simulate_plan(
-        small_tasks, solved, small_cluster,
-        _cfg(
-            seed, arrival, streaming=True, chunk_size=chunk_size,
-            max_records=KEEP_ALL,
-        ),
-    )
-    assert _sorted_records(streamed) == _sorted_records(one_shot)
-    assert streamed.counters == one_shot.counters
-    assert streamed.utilizations == one_shot.utilizations
-    assert streamed.discarded_warmup == one_shot.discarded_warmup
 
 
 @settings(max_examples=12, deadline=None)

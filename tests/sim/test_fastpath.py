@@ -1,4 +1,9 @@
-"""The vectorized fast path must be bit-identical to the event loop."""
+"""The vectorized sweep must be bit-identical to the event loop.
+
+Targeted cases (maximal time ties, bandwidth traces) and engine dispatch;
+the randomized cross-configuration identity lives in
+``tests/property/test_engine_matrix.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,9 @@ import pytest
 from repro.core.joint import JointOptimizer
 from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
+from repro.faults import FaultSchedule
 from repro.network.wireless import BandwidthTrace
+from repro.sim import eventloop as eventloop_mod
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
 
@@ -92,7 +99,7 @@ class TestDispatch:
             def __init__(self):
                 raise AssertionError("event loop constructed on the fast path")
 
-        monkeypatch.setattr(runner_mod, "Simulator", Boom)
+        monkeypatch.setattr(eventloop_mod, "Simulator", Boom)
         rep = simulate_plan(
             small_tasks, solved, small_cluster, SimulationConfig(horizon_s=6.0, seed=14)
         )
@@ -109,7 +116,7 @@ class TestDispatch:
         def boom(*a, **k):
             raise AssertionError("fast path taken on a telemetry run")
 
-        monkeypatch.setattr(runner_mod, "sweep_pipeline", boom)
+        monkeypatch.setattr(runner_mod, "sweep_chunked", boom)
         rep = simulate_plan(
             small_tasks, solved, small_cluster,
             SimulationConfig(horizon_s=6.0, seed=15, telemetry=True),
@@ -117,14 +124,16 @@ class TestDispatch:
         assert rep.timeline is not None
         assert rep.registry is not None
 
-    def test_fast_path_counters_match_event_loop(self, small_cluster, small_tasks, solved):
-        """The equivalent event count is what the loop actually executes."""
-        cfg = SimulationConfig(horizon_s=8.0, seed=16)
-        fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
-        event = simulate_plan(
+    def test_faults_force_event_loop(self, small_cluster, small_tasks, solved, monkeypatch):
+        """Fault runs must never take the sweep, even with an empty schedule."""
+
+        def boom(*a, **k):
+            raise AssertionError("fast path taken on a fault run")
+
+        monkeypatch.setattr(runner_mod, "sweep_chunked", boom)
+        rep = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=8.0, seed=16, fast_path=False),
+            SimulationConfig(horizon_s=6.0, seed=15, faults=FaultSchedule()),
         )
-        assert fast.counters.events == event.counters.events
-        assert fast.counters.requests == event.counters.requests
-        assert fast.counters.events > 0
+        assert rep.total_requests > 0
+        assert rep.counters.conserved()

@@ -1,9 +1,11 @@
 """Per-request service-time jitter: engine equivalence and determinism.
 
 The jitter draws are counter-based (one RNG material per (task, stage),
-indexed by request id), so every engine — event loop, one-shot fast path,
-chunked streaming sweep, faults runtime — must realize the *identical*
-per-request factors regardless of evaluation order or chunking.
+indexed by request id), so both engines — the event loop (fault runs
+included) and the chunked sweep, record-backed or streaming — must realize
+the *identical* per-request factors regardless of evaluation order or
+chunking.  Record-level engine identity under jitter is part of the
+differential matrix in ``tests/property/test_engine_matrix.py``.
 """
 
 import dataclasses
@@ -93,17 +95,6 @@ class TestEngineEquivalence:
         a = simulate_plan(small_tasks, solved, small_cluster, base)
         b = simulate_plan(small_tasks, solved, small_cluster, noisy)
         assert a.records != b.records
-
-    def test_fast_equals_event_loop(self, small_cluster, small_tasks, solved):
-        cfg = SimulationConfig(
-            horizon_s=8.0, warmup_s=1.0, seed=11, service_noise=0.25
-        )
-        fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
-        event = simulate_plan(
-            small_tasks, solved, small_cluster,
-            dataclasses.replace(cfg, fast_path=False),
-        )
-        assert_reports_identical(fast, event)
 
     @pytest.mark.parametrize("chunk", [7, 64])
     def test_streaming_equals_oneshot(

@@ -9,6 +9,8 @@ from repro.sim.sources import (
     MMPPArrivals,
     PoissonArrivals,
     TraceArrivals,
+    arrival_stream,
+    arrival_times,
 )
 
 
@@ -41,6 +43,20 @@ class TestPoisson:
             PoissonArrivals(0.0)
         with pytest.raises(ConfigError):
             PoissonArrivals(1.0).generate(0.0)
+
+
+@pytest.mark.parametrize("arrival", ["poisson", "deterministic", "mmpp"])
+@pytest.mark.parametrize("rate,horizon", [(3.0, 5.0), (10.0, 100.0), (100.0, 200.0)])
+def test_stream_replays_one_shot(arrival, rate, horizon):
+    """Chunked arrivals equal the one-shot array for any window split, also
+    past the first generation block (the last case needs ~20k arrivals)."""
+    whole = arrival_times(rate, horizon, arrival, 4.0, 7)
+    for windows in (1, 7, 50):
+        stream = arrival_stream(rate, horizon, arrival, 4.0, 7)
+        chunked = np.concatenate(
+            [stream.take_until(t) for t in np.linspace(horizon / windows, horizon, windows)]
+        )
+        np.testing.assert_array_equal(chunked, whole)
 
 
 class TestDeterministic:

@@ -2,7 +2,7 @@
 
 Contracts under test (see DESIGN.md "Simulator performance"):
 
-- the chunked sweep is **bit-identical** to the one-shot fast path: with a
+- the streaming sweep is **bit-identical** to the record-backed sweep: with a
   reservoir large enough to keep every record, streaming reproduces the
   exact record set (all fields) regardless of chunk size or arrival model;
 - record-free streaming reports agree with record-backed reports on every
@@ -60,7 +60,7 @@ def _exact_quantile(latencies: np.ndarray, q: float) -> float:
 
 
 class TestChunkedBitIdentity:
-    """Streaming with a keep-all reservoir == one-shot fast path, any chunking."""
+    """Streaming with a keep-all reservoir == record-backed sweep, any chunking."""
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     @pytest.mark.parametrize("chunk_size", [7, 64, 10**9])

@@ -3,7 +3,7 @@
 Contracts under test (see DESIGN.md §9):
 
 - ``SimulationConfig(windows=...)`` works on *every* engine — event loop,
-  one-shot fast path, chunked streaming sweep, sharded cell fan-out — with
+  record-backed sweep, streaming sweep, sharded cell fan-out — with
   **bit-identical** windowed integer state and SLO reports on a fixed seed;
 - merged reports refuse to mix windowed and window-free members (all-or-none);
 - the streaming error surface is precise: per-request timelines stay
