@@ -57,7 +57,7 @@ def test_local_search_sweep(benchmark):
     boot = Allocation(list(assignment), np.ones(n), np.ones(n))
     plan_idx = opt._surgery_step(tasks, cands, boot, ctx, setup_counters)
     alloc = ctx.allocator.solve(plan_idx, assignment, setup_counters)
-    obj = opt._objective(tasks, cands, plan_idx, alloc, setup_counters)
+    obj = opt._objective(tasks, cands, plan_idx, alloc, ctx, setup_counters)
 
     counters = PerfCounters()
 

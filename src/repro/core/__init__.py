@@ -13,7 +13,9 @@ Layered as:
 - :mod:`repro.core.candidates` — dominance pruning of the candidate set.
 - :mod:`repro.core.allocation` — closed-form KKT share allocation +
   Hungarian-style server assignment.
-- :mod:`repro.core.queueing` — M/M/1 & M/G/1 delay terms for congestion.
+- :mod:`repro.core.queueing` — M/M/1 & M/G/1 delay terms for congestion,
+  and the one latency kernel (:func:`~repro.core.queueing.plan_latency`)
+  that both candidate ranking and solution pricing call.
 - :mod:`repro.core.joint` — block-coordinate descent joint optimizer.
 - :mod:`repro.core.sharding` — server partitions, shard-local cluster views,
   deterministic task→shard homing.
@@ -40,8 +42,8 @@ from repro.core.objectives import Objective
 from repro.core.sharding import ShardPlan, ShardView, make_shard_plan
 from repro.core.online import ControllerConfig, EnvironmentSample, OnlineController
 from repro.core.plan import JointPlan, PlanFeatures, SurgeryPlan, TaskSpec
-from repro.core.queueing import mg1_wait, mm1_response, mm1_wait
-from repro.core.surgery import evaluate_plan, plan_latency
+from repro.core.queueing import mg1_wait, mm1_response, mm1_wait, plan_latency
+from repro.core.surgery import evaluate_plan
 
 __all__ = [
     "AdmissionResult",

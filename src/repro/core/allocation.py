@@ -17,19 +17,24 @@ latencies under an equal-share estimate.  Slot replication bounds how many
 tasks an assignment round can pile onto one server; the joint optimizer's
 share re-solve then refines within each server.
 
-**Evaluation.**  :func:`solution_latencies` is the single source of truth for
-"what latency does this complete solution predict" — used identically by the
-BCD solver, the best-response game, the exhaustive optimum, and the
-experiment harness, so their objective values are directly comparable.
-Congestion is charged with a tandem-queue approximation: each request stream
-flows through up to three stages (device compute, link, server compute), each
-modeled as an independent M/G/1 queue — Poisson input, service moments from
-the plan's realized-demand distribution (multi-exit services are bimodal,
-which is why :class:`~repro.core.plan.PlanFeatures` carries second moments).
-The link and server stages see the *thinned* stream (rate ``λ·p_offload``)
-with demand moments conditioned on offloading.  Per-stage waits add; any
-stage at utilization >= 1 renders the solution infeasible (``inf``).
-Experiment E14 validates this against the discrete-event simulator.
+**Evaluation.**  :func:`solution_latencies` answers "what latency does this
+complete solution predict" — used identically by the BCD solver, the
+best-response game, the exhaustive optimum, and the experiment harness, so
+their objective values are directly comparable.  It gathers the chosen
+plans' feature columns and the placements' stage parameters
+(:class:`SolutionStages`) into one call of the library's single latency
+kernel, :func:`repro.core.queueing.plan_latency` — the same kernel, in the
+same float order, that ranks candidates — so a plan is priced exactly as it
+was ranked.  Congestion is charged with a tandem-queue approximation: each
+request stream flows through up to three stages (device compute, link,
+server compute), each modeled as an independent M/G/1 queue — Poisson
+input, service moments from the plan's realized-demand distribution
+(multi-exit services are bimodal, which is why
+:class:`~repro.core.plan.PlanFeatures` carries second moments).  The link
+and server stages see the *thinned* stream (rate ``λ·p_offload``) with
+demand moments conditioned on offloading.  Per-stage waits add; any stage at
+utilization >= 1 renders the solution infeasible (``inf``).  Experiment E14
+validates this against the discrete-event simulator.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from scipy.optimize import linear_sum_assignment
 from repro.core.candidates import CandidateSet
 from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
-from repro.core.queueing import mg1_wait
+from repro.core.queueing import OVERLOAD_MODES, FeatureColumns, plan_latency
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, PlanError
@@ -365,11 +370,93 @@ class IncrementalAllocator:
         return Allocation(list(assignment), compute, bandwidth)
 
 
-#: Surrogate latency (seconds per unit of bottleneck utilization) used in
-#: "penalty" overload mode — must dwarf any real latency so penalized
-#: solutions never beat stable ones, while still ordering overloaded
-#: solutions by how overloaded they are.
-OVERLOAD_PENALTY_S = 1e4
+class SolutionStages:
+    """Latency-kernel stage parameters of a solution's rows, hoisted.
+
+    Per task: device throughput, device overhead and arrival rate; per
+    server: throughput and overhead; per (device, server) link: bandwidth
+    and RTT, resolved on first use.  Built once per solve, so pricing a
+    trial move gathers its rows from arrays instead of walking the cluster.
+    Safe to share across restart threads: the only post-construction
+    mutation is the lazy link memo, whose entries are deterministic.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[TaskSpec],
+        cluster: EdgeCluster,
+        latency_model: LatencyModel,
+    ) -> None:
+        self.cluster = cluster
+        devices = [cluster.by_name(t.device_name) for t in tasks]
+        rate: Dict[str, float] = {}
+        for d in devices:
+            if d.name not in rate:
+                rate[d.name] = latency_model.throughput(d)
+        self.r_dev = np.array([rate[d.name] for d in devices], dtype=float)
+        self.oh_dev = np.array([d.overhead_s for d in devices], dtype=float)
+        self.lam = np.array([t.arrival_rate for t in tasks], dtype=float)
+        self.dev_name = [t.device_name for t in tasks]
+        # (throughput, overhead) per server, plus a last row that locally
+        # placed tasks read: finite stand-ins the kernel ignores for them
+        self._local = cluster.num_servers
+        self._servers = np.array(
+            [(latency_model.throughput(s), s.overhead_s) for s in cluster.servers]
+            + [(1.0, 0.0)],
+            dtype=float,
+        )
+        self._links: Dict[Tuple[str, Optional[int]], Tuple[float, float]] = {}
+
+    def _link(self, i: int, s: Optional[int]) -> Tuple[float, float]:
+        """(bandwidth, rtt) of task ``i``'s link to server ``s``."""
+        key = (self.dev_name[i], s)
+        params = self._links.get(key)
+        if params is None:
+            if s is None:
+                params = (1.0, 0.0)
+            else:
+                link = self.cluster.link(key[0], self.cluster.servers[s].name)
+                params = (link.bandwidth_bps, link.rtt_s)
+            self._links[key] = params
+        return params
+
+    def price(
+        self,
+        candsets: Sequence[CandidateSet],
+        rows: Sequence[int],
+        plans: Sequence[int],
+        servers: Sequence[Optional[int]],
+        compute_shares: np.ndarray,
+        bandwidth_shares: np.ndarray,
+        include_queueing: bool = True,
+        overload: str = "inf",
+        risk: Optional["RiskConfig"] = None,
+    ) -> np.ndarray:
+        """Latency of task ``rows[k]`` running plan ``plans[k]`` on server
+        ``servers[k]`` (``None`` = local) at the given shares, for every
+        ``k`` — one :func:`~repro.core.queueing.plan_latency` call."""
+        idx = np.asarray(rows, dtype=np.intp)
+        srv_idx = np.array(
+            [self._local if s is None else s for s in servers], dtype=np.intp
+        )
+        srv = self._servers[srv_idx]
+        link = np.array(
+            [self._link(i, s) for i, s in zip(rows, servers)], dtype=float
+        ).reshape(-1, 2)
+        local = srv_idx == self._local
+        return plan_latency(
+            FeatureColumns.of([candsets[i].features[j] for i, j in zip(rows, plans)]),
+            self.r_dev[idx],
+            self.oh_dev[idx],
+            r_srv=srv[:, 0] * compute_shares,
+            oh_srv=srv[:, 1],
+            bw=link[:, 0] * bandwidth_shares,
+            rtt=link[:, 1],
+            local=local if local.any() else None,
+            arrival_rate=self.lam[idx] if include_queueing else None,
+            risk=risk,
+            overload=overload,
+        )
 
 
 def solution_latencies(
@@ -382,6 +469,7 @@ def solution_latencies(
     include_queueing: bool = True,
     overload: str = "inf",
     risk: Optional["RiskConfig"] = None,
+    stages: Optional[SolutionStages] = None,
 ) -> np.ndarray:
     """Predicted expected latency per task for a complete solution.
 
@@ -398,144 +486,69 @@ def solution_latencies(
     An active ``risk`` config buffers every latency to ``μ + κ(ε)·σ`` (see
     :mod:`repro.core.risk`); ``None`` or ``buffer="none"`` leaves the
     deterministic values bit-identical.
+
+    The solution is validated here, once per call: mismatched lengths or a
+    server index outside the cluster raise :class:`~repro.errors.ConfigError`,
+    a plan index outside its candidate set raises
+    :class:`~repro.errors.PlanError`.  ``stages`` may pass the solve's
+    hoisted :class:`SolutionStages`.
     """
-    if overload not in ("inf", "penalty"):
+    if overload not in OVERLOAD_MODES:
         raise ConfigError(f"overload must be 'inf' or 'penalty', got {overload!r}")
     n = len(tasks)
-    out = np.empty(n)
-    for i, task in enumerate(tasks):
-        out[i] = solution_latency_task(
-            task,
-            candsets[i],
-            plan_idx[i],
-            allocation.assignment[i],
-            float(allocation.compute_shares[i]),
-            float(allocation.bandwidth_shares[i]),
-            cluster,
-            latency_model,
-            include_queueing=include_queueing,
-            overload=overload,
-            risk=risk,
-        )
-    return out
+    if not (len(candsets) == len(plan_idx) == len(allocation.assignment) == n):
+        raise ConfigError("tasks/candsets/plan_idx/allocation length mismatch")
+    m = cluster.num_servers
+    for i in range(n):
+        if not 0 <= plan_idx[i] < len(candsets[i]):
+            raise PlanError(
+                f"{tasks[i].name}: plan index {plan_idx[i]} outside its "
+                f"{len(candsets[i])} candidates"
+            )
+        s = allocation.assignment[i]
+        if s is not None and not 0 <= s < m:
+            raise ConfigError(f"{tasks[i].name}: server index {s} outside 0..{m - 1}")
+    return solution_latency_task(
+        list(range(n)), tasks, candsets, plan_idx, allocation, cluster,
+        latency_model, include_queueing=include_queueing, overload=overload,
+        risk=risk, stages=stages,
+    )
 
 
 def solution_latency_task(
-    task: TaskSpec,
-    cs: CandidateSet,
-    j: int,
-    s: Optional[int],
-    x: float,
-    y: float,
+    rows: Sequence[int],
+    tasks: Sequence[TaskSpec],
+    candsets: Sequence[CandidateSet],
+    plan_idx: Sequence[int],
+    allocation: Allocation,
     cluster: EdgeCluster,
     latency_model: LatencyModel,
     include_queueing: bool = True,
     overload: str = "inf",
-    device=None,
     risk: Optional["RiskConfig"] = None,
-) -> float:
-    """Predicted latency of one task — the per-task kernel of
-    :func:`solution_latencies`.
+    stages: Optional[SolutionStages] = None,
+) -> np.ndarray:
+    """Predicted latencies of the solution's tasks ``rows`` (in that order).
 
-    Exposed separately so incremental solvers can re-evaluate only the tasks
-    whose server or link groups changed after a trial move, instead of the
-    whole solution.  ``x``/``y`` are the task's compute and bandwidth shares;
-    ``device`` may be passed to skip the ``cluster.by_name`` lookup.
-    ``overload`` is assumed pre-validated by the caller.  An active ``risk``
-    config returns the buffered latency ``μ + κ(ε)·σ``, mirroring (stage for
-    stage) the vectorized :meth:`CandidateSet._latency_stds` bound.
+    The trial-move entry of :func:`solution_latencies`: incremental solvers
+    re-price only the tasks whose server or link groups a move touched, in
+    one kernel call.  Unvalidated — ``overload`` and the solution are
+    assumed checked by the caller; pass the solve's hoisted ``stages`` to
+    skip rebuilding them.
     """
-    f = cs.features[j]
-    if device is None:
-        device = cluster.by_name(task.device_name)
-    lam = task.arrival_rate
-    r_dev = latency_model.throughput(device)
-    oh_d = device.overhead_s if f.dev_flops > 0 else 0.0
-    t_dev = f.dev_flops / r_dev + oh_d
-    wait = 0.0
-    rho_max = lam * t_dev
-    buffered = risk is not None and risk.active
-    sigma = 0.0
-    if buffered:
-        from repro.core.risk import stage_std
-
-        sigma = stage_std(
-            f.dev_flops / r_dev, f.dev_flops_sq / r_dev**2, oh_d, 1.0, risk.rel_var
-        )
-    if include_queueing and t_dev > 0:
-        # device stage: every request visits it
-        s1 = t_dev
-        s2 = (
-            f.dev_flops_sq / r_dev**2
-            + 2.0 * oh_d * f.dev_flops / r_dev
-            + oh_d**2
-        )
-        wait = mg1_wait(lam, s1, max(s2, s1 * s1))
-        if buffered:
-            from repro.core.risk import wait_std
-
-            sigma += wait_std(wait, s1)
-    if s is None:
-        if not f.is_local_only:
-            return float(np.inf)
-        latency = t_dev + wait
-        if not np.isfinite(latency):
-            latency = (
-                t_dev + OVERLOAD_PENALTY_S * rho_max
-                if overload == "penalty"
-                else float(np.inf)
-            )
-        return latency + risk.kappa * sigma if buffered else latency
-    server = cluster.servers[s]
-    link = cluster.link(task.device_name, server.name)
-    r_srv = latency_model.throughput(server) * x
-    bw = link.bandwidth_bps * y
-    t_srv = f.srv_flops / r_srv + f.p_offload * server.overhead_s
-    t_link = f.wire_bytes / bw
-    base = t_dev + t_srv + t_link + f.p_offload * link.rtt_s
-    if buffered:
-        from repro.core.risk import stage_std
-
-        sigma += (
-            stage_std(
-                f.srv_flops / r_srv, f.srv_flops_sq / r_srv**2,
-                server.overhead_s, f.p_offload, risk.rel_var,
-            )
-            + stage_std(
-                f.wire_bytes / bw, f.wire_bytes_sq / bw**2,
-                0.0, f.p_offload, risk.rel_var,
-            )
-            + stage_std(0.0, 0.0, link.rtt_s, f.p_offload, 0.0)
-        )
-    total_wait = wait
-    if include_queueing and f.p_offload > 0:
-        lam_off = lam * f.p_offload
-        # server stage: thinned stream, conditional service moments
-        m1 = (f.srv_flops / f.p_offload) / r_srv + server.overhead_s
-        m2 = (
-            (f.srv_flops_sq / f.p_offload) / r_srv**2
-            + 2.0 * server.overhead_s * (f.srv_flops / f.p_offload) / r_srv
-            + server.overhead_s**2
-        )
-        w_srv = mg1_wait(lam_off, m1, max(m2, m1 * m1))
-        # link stage: deterministic conditional service (fixed boundary)
-        l1 = (f.wire_bytes / f.p_offload) / bw
-        l2 = (f.wire_bytes_sq / f.p_offload) / bw**2
-        w_link = mg1_wait(lam_off, l1, max(l2, l1 * l1))
-        total_wait = wait + f.p_offload * (w_srv + w_link)
-        rho_max = max(rho_max, lam_off * m1, lam_off * l1)
-        if buffered:
-            from repro.core.risk import wait_std
-
-            sigma += wait_std(w_srv, m1, f.p_offload) + wait_std(
-                w_link, l1, f.p_offload
-            )
-    buf = risk.kappa * sigma if buffered else 0.0
-    if np.isfinite(total_wait):
-        return base + total_wait + buf
-    if overload == "penalty":
-        return base + OVERLOAD_PENALTY_S * rho_max + buf
-    return float(np.inf)
+    if stages is None:
+        stages = SolutionStages(tasks, cluster, latency_model)
+    return stages.price(
+        candsets,
+        rows,
+        [plan_idx[i] for i in rows],
+        [allocation.assignment[i] for i in rows],
+        allocation.compute_shares[rows],
+        allocation.bandwidth_shares[rows],
+        include_queueing=include_queueing,
+        overload=overload,
+        risk=risk,
+    )
 
 
 @traced("alloc.assign_servers")

@@ -1,8 +1,9 @@
 """Candidate plan sets: array-of-structs view + dominance pruning.
 
 A :class:`CandidateSet` packs a task's enumerated plan features into parallel
-NumPy arrays so the joint optimizer evaluates *all* candidates under a given
-allocation with a single vectorized expression, then argmins.
+NumPy arrays — the feature columns of the latency kernel
+(:func:`repro.core.queueing.plan_latency`) — so the joint optimizer ranks
+*all* candidates under a given allocation with one kernel call, then argmins.
 
 Pruning removes plans dominated in the 5-dimensional feature space
 (dev_flops, srv_flops, wire_bytes, p_offload | accuracy): if plan B costs at
@@ -22,11 +23,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.plan import PlanFeatures, SurgeryPlan, TaskSpec
+from repro.core.queueing import plan_latency, stage_params
 from repro.core.surgery import (
     DEFAULT_MAX_CUTS,
     DEFAULT_THRESHOLD_GRID,
     enumerate_features,
-    plan_latency,
 )
 from repro.devices.device import DeviceSpec
 from repro.devices.latency import LatencyModel
@@ -216,206 +217,38 @@ class CandidateSet:
         link: Optional[Link] = None,
         compute_share: float = 1.0,
         bandwidth_share: float = 1.0,
-        server_wait_s: float = 0.0,
         arrival_rate: Optional[float] = None,
         risk: Optional["RiskConfig"] = None,
     ) -> np.ndarray:
-        """Expected latency of every candidate under one allocation.
+        """Latency of every candidate under one placement — the ranking.
 
-        With ``server=None`` only local-only candidates get finite latency;
-        offloading candidates are reported as ``inf``.  Passing
-        ``arrival_rate`` adds the per-stage M/G/1 congestion terms (same
-        model as :func:`repro.core.allocation.solution_latencies`), so the
-        surgery step can reject plans whose bottleneck stage cannot sustain
-        the task's stream (those come back ``inf``).
+        One call of the library's latency kernel
+        (:func:`repro.core.queueing.plan_latency`) over this set's columns,
+        so a candidate scores exactly what
+        :func:`repro.core.allocation.solution_latencies` prices it at once
+        chosen.  With ``server=None`` only local-only candidates get finite
+        latency; offloading candidates are reported as ``inf``.  Passing
+        ``arrival_rate`` adds the per-stage M/G/1 congestion terms, with the
+        graded overload penalty (never ``inf``) so ranking keeps a gradient
+        when the bottleneck stage cannot sustain the task's stream.
 
         With an active ``risk`` config the returned values are *buffered*
         latencies ``μ + κ(ε)·σ`` (see :mod:`repro.core.risk`), so ranking
         candidates by this vector certifies ``P[latency ≤ deadline] ≥ 1−ε``
         rather than ``E[latency] ≤ deadline``; an inactive or absent risk
-        config leaves the deterministic path bit-identical.
+        config leaves the deterministic path bit-identical.  Raises
+        :class:`~repro.errors.PlanError` for a server without a link (or
+        vice versa) or a share outside (0, 1].
         """
-        r_dev = latency_model.throughput(device)
-        if server is None:
-            t = np.where(
-                self.dev_flops > 0,
-                self.dev_flops / r_dev + device.overhead_s,
-                0.0,
-            )
-            uses = (self.p_offload > 0) | (self.srv_flops > 0)
-            t = np.where(uses, np.inf, t)
-        else:
-            t = plan_latency(
-                self.dev_flops,
-                self.srv_flops,
-                self.wire_bytes,
-                self.p_offload,
-                device,
-                latency_model,
-                server=server,
-                link=link,
-                compute_share=compute_share,
-                bandwidth_share=bandwidth_share,
-                server_wait_s=server_wait_s,
-            )
-        if arrival_rate is not None:
-            t = t + self._queue_waits(
-                arrival_rate, device, latency_model, server, link,
-                compute_share, bandwidth_share,
-            )
-        if risk is not None and risk.active:
-            t = t + risk.kappa * self._latency_stds(
-                device, latency_model, server, link,
-                compute_share, bandwidth_share, arrival_rate, risk,
-            )
-        return t
-
-    #: Ranking penalty (seconds per unit of bottleneck utilization) applied
-    #: to overloaded candidates instead of ``inf``.  When *no* stable plan
-    #: exists, the graded penalty still orders candidates by how overloaded
-    #: they are, so the optimizer degrades gracefully (shed the most load)
-    #: rather than choosing arbitrarily among equally-infinite options.  The
-    #: objective reported by :func:`solution_latencies` remains an honest
-    #: ``inf`` for unstable solutions.
-    OVERLOAD_PENALTY_S = 1e4
-
-    def _queue_waits(
-        self,
-        lam: float,
-        device: DeviceSpec,
-        latency_model: LatencyModel,
-        server: Optional[DeviceSpec],
-        link: Optional[Link],
-        compute_share: float,
-        bandwidth_share: float,
-    ) -> np.ndarray:
-        """Vectorized per-stage M/G/1 waiting time per candidate.
-
-        Overloaded candidates receive a finite, utilization-graded penalty
-        (see :data:`OVERLOAD_PENALTY_S`) so ranking keeps a gradient.
-        """
-        from repro.core.queueing import mg1_wait_vec
-
-        r_dev = latency_model.throughput(device)
-        oh_d = np.where(self.dev_flops > 0, device.overhead_s, 0.0)
-        s1 = self.dev_flops / r_dev + oh_d
-        s2 = self.dev_flops_sq / r_dev**2 + 2 * oh_d * self.dev_flops / r_dev + oh_d**2
-        wait = np.where(
-            s1 > 0, mg1_wait_vec(np.full_like(s1, lam), s1, np.maximum(s2, s1 * s1)), 0.0
+        return plan_latency(
+            self,
+            **stage_params(
+                device, latency_model, server, link, compute_share, bandwidth_share
+            ),
+            arrival_rate=arrival_rate,
+            risk=risk,
+            overload="penalty",
         )
-        rho_max = lam * s1
-        if server is not None and link is not None:
-            r_srv = latency_model.throughput(server) * compute_share
-            bw = link.bandwidth_bps * bandwidth_share
-            p = self.p_offload
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m1 = np.where(p > 0, (self.srv_flops / p) / r_srv + server.overhead_s, 0.0)
-                m2 = np.where(
-                    p > 0,
-                    (self.srv_flops_sq / p) / r_srv**2
-                    + 2 * server.overhead_s * (self.srv_flops / p) / r_srv
-                    + server.overhead_s**2,
-                    0.0,
-                )
-                l1 = np.where(p > 0, (self.wire_bytes / p) / bw, 0.0)
-                l2 = np.where(p > 0, (self.wire_bytes_sq / p) / bw**2, 0.0)
-            w_srv = mg1_wait_vec(lam * p, m1, np.maximum(m2, m1 * m1))
-            w_link = mg1_wait_vec(lam * p, l1, np.maximum(l2, l1 * l1))
-            wait = wait + p * (w_srv + w_link)
-            rho_max = np.maximum(rho_max, np.maximum(lam * p * m1, lam * p * l1))
-        return np.where(np.isfinite(wait), wait, self.OVERLOAD_PENALTY_S * rho_max)
-
-    def _latency_stds(
-        self,
-        device: DeviceSpec,
-        latency_model: LatencyModel,
-        server: Optional[DeviceSpec],
-        link: Optional[Link],
-        compute_share: float,
-        bandwidth_share: float,
-        arrival_rate: Optional[float],
-        risk: "RiskConfig",
-    ) -> np.ndarray:
-        """Per-candidate latency-std upper bound σ (buffered-mode only).
-
-        Sub-additive sum of per-stage stds (exit-mix second moments +
-        multiplicative service jitter, :func:`repro.core.risk.stage_std`)
-        plus the queueing-delay surrogates (:func:`repro.core.risk.wait_std`)
-        when ``arrival_rate`` is given — mirroring, stage for stage, the
-        mean terms this set's :meth:`latencies` accumulates.  Only entered
-        when the risk config is active, so the deterministic path never pays
-        for it.
-        """
-        from repro.core.queueing import mg1_wait_vec
-        from repro.core.risk import stage_std, wait_std
-
-        rv = risk.rel_var
-        r_dev = latency_model.throughput(device)
-        oh_d = np.where(self.dev_flops > 0, device.overhead_s, 0.0)
-        w_dev = self.dev_flops / r_dev
-        w2_dev = self.dev_flops_sq / r_dev**2
-        sigma = stage_std(w_dev, w2_dev, oh_d, 1.0, rv)
-        lam = arrival_rate
-        if lam is not None:
-            s1 = w_dev + oh_d
-            s2 = w2_dev + 2 * oh_d * w_dev + oh_d**2
-            dev_wait = np.where(
-                s1 > 0,
-                mg1_wait_vec(np.full_like(s1, lam), s1, np.maximum(s2, s1 * s1)),
-                0.0,
-            )
-            sigma = sigma + wait_std(dev_wait, s1)
-        if server is not None and link is not None:
-            p = self.p_offload
-            r_srv = latency_model.throughput(server) * compute_share
-            bw = link.bandwidth_bps * bandwidth_share
-            w_srv = self.srv_flops / r_srv
-            w_wire = self.wire_bytes / bw
-            sigma = (
-                sigma
-                + stage_std(w_srv, self.srv_flops_sq / r_srv**2, server.overhead_s, p, rv)
-                + stage_std(w_wire, self.wire_bytes_sq / bw**2, 0.0, p, rv)
-                + stage_std(0.0, 0.0, link.rtt_s, p, 0.0)
-            )
-            if lam is not None:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    m1 = np.where(p > 0, (w_srv / p) + server.overhead_s, 0.0)
-                    m2 = np.where(
-                        p > 0,
-                        (self.srv_flops_sq / p) / r_srv**2
-                        + 2 * server.overhead_s * (w_srv / p)
-                        + server.overhead_s**2,
-                        0.0,
-                    )
-                    l1 = np.where(p > 0, w_wire / p, 0.0)
-                    l2 = np.where(p > 0, (self.wire_bytes_sq / p) / bw**2, 0.0)
-                srv_wait = mg1_wait_vec(lam * p, m1, np.maximum(m2, m1 * m1))
-                link_wait = mg1_wait_vec(lam * p, l1, np.maximum(l2, l1 * l1))
-                sigma = sigma + wait_std(srv_wait, m1, p) + wait_std(link_wait, l1, p)
-        return sigma
-
-    def best(
-        self,
-        device: DeviceSpec,
-        latency_model: LatencyModel,
-        server: Optional[DeviceSpec] = None,
-        link: Optional[Link] = None,
-        compute_share: float = 1.0,
-        bandwidth_share: float = 1.0,
-        server_wait_s: float = 0.0,
-    ) -> tuple:
-        """(index, latency) of the fastest candidate under one allocation."""
-        lat = self.latencies(
-            device,
-            latency_model,
-            server=server,
-            link=link,
-            compute_share=compute_share,
-            bandwidth_share=bandwidth_share,
-            server_wait_s=server_wait_s,
-        )
-        idx = int(np.argmin(lat))
-        return idx, float(lat[idx])
 
 
 # -- candidate pipeline cache --------------------------------------------------

@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.allocation import (
     Allocation,
     IncrementalAllocator,
+    SolutionStages,
     solution_latencies,
     solution_latency_task,
 )
@@ -349,10 +350,12 @@ def solve_sharded(
             )
             inc = IncrementalAllocator(tasks, candsets, cluster, lm, objective)
             alloc = inc.solve(plan_idx, assignment, perf)
+            stages = SolutionStages(tasks, cluster, lm)
 
         task_shard = list(shard_plan.task_shard)
         obj, base_lat = _global_objective(
-            tasks, candsets, plan_idx, alloc, cluster, lm, objective, cfg, perf
+            tasks, candsets, plan_idx, alloc, cluster, lm, objective, cfg, perf,
+            stages,
         )
         history = [obj]
         migration_history: List[int] = []
@@ -375,7 +378,7 @@ def solve_sharded(
                 accepted, obj, base_lat, plan_idx, alloc = round_fn(
                     tasks, candsets, plan_idx, alloc, base_lat,
                     obj, cluster, lm, objective, cfg, shard_plan, task_shard,
-                    inc, affinity, foreign_val, foreign_srv, perf,
+                    inc, stages, affinity, foreign_val, foreign_srv, perf,
                     fast_state,
                 )
             migration_history.append(accepted)
@@ -534,11 +537,12 @@ def _global_objective(
     objective: Objective,
     cfg: JointSolverConfig,
     counters: PerfCounters,
+    stages: SolutionStages,
 ) -> Tuple[float, np.ndarray]:
     lat = solution_latencies(
         tasks, candsets, plan_idx, alloc, cluster, lm,
         include_queueing=cfg.include_queueing, overload="penalty",
-        risk=cfg.risk,
+        risk=cfg.risk, stages=stages,
     )
     counters.latency_evals += len(tasks)
     return objective.evaluate(lat, tasks), lat
@@ -558,6 +562,7 @@ def _migration_round(
     shard_plan: ShardPlan,
     task_shard: List[int],
     inc: IncrementalAllocator,
+    stages: SolutionStages,
     affinity: AffinityIndex,
     foreign_val: np.ndarray,
     foreign_srv: np.ndarray,
@@ -640,25 +645,16 @@ def _migration_round(
             trial_alloc = prov
         else:
             trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-        affected = {
+        # task i is among current's members
+        affected = [
             t for t, a in enumerate(assignment) if a == current or a == target
-        }
-        affected.add(i)
+        ]
         trial_lat = base_lat.copy()
-        for t_i in affected:
-            trial_lat[t_i] = solution_latency_task(
-                tasks[t_i],
-                candsets[t_i],
-                trial_idx[t_i],
-                trial_alloc.assignment[t_i],
-                float(trial_alloc.compute_shares[t_i]),
-                float(trial_alloc.bandwidth_shares[t_i]),
-                cluster,
-                lm,
-                include_queueing=cfg.include_queueing,
-                overload="penalty",
-                risk=cfg.risk,
-            )
+        trial_lat[affected] = solution_latency_task(
+            affected, tasks, candsets, trial_idx, trial_alloc, cluster, lm,
+            include_queueing=cfg.include_queueing, overload="penalty",
+            risk=cfg.risk, stages=stages,
+        )
         counters.latency_evals += len(affected)
         trial_obj = objective.evaluate(trial_lat, tasks)
         if trial_obj < obj - hyst * max(abs(obj), 1e-12):
@@ -747,6 +743,7 @@ def _migration_round_fast(
     shard_plan: ShardPlan,
     task_shard: List[int],
     inc: IncrementalAllocator,
+    stages: SolutionStages,
     affinity: AffinityIndex,
     foreign_val: np.ndarray,
     foreign_srv: np.ndarray,
@@ -819,26 +816,15 @@ def _migration_round_fast(
                 prov, trial_idx, trial_assign, (i,), counters,
                 members_by_server=state.members,
             )
-        # the moved task is already in target's member list; the union with
-        # current's remainder plus {i} equals the dense O(tasks) scan's set
-        affected = set(state.members.get(current, ()))
-        affected.update(state.members.get(target, ()))
-        affected.add(i)
+        # the moved task is already in target's member list, so current's
+        # remainder plus target's members is the dense O(tasks) scan's set
+        affected = [*state.members.get(current, ()), *state.members.get(target, ())]
         trial_lat = base_lat.copy()
-        for t_i in affected:
-            trial_lat[t_i] = solution_latency_task(
-                tasks[t_i],
-                candsets[t_i],
-                trial_idx[t_i],
-                trial_alloc.assignment[t_i],
-                float(trial_alloc.compute_shares[t_i]),
-                float(trial_alloc.bandwidth_shares[t_i]),
-                cluster,
-                lm,
-                include_queueing=cfg.include_queueing,
-                overload="penalty",
-                risk=cfg.risk,
-            )
+        trial_lat[affected] = solution_latency_task(
+            affected, tasks, candsets, trial_idx, trial_alloc, cluster, lm,
+            include_queueing=cfg.include_queueing, overload="penalty",
+            risk=cfg.risk, stages=stages,
+        )
         counters.latency_evals += len(affected)
         trial_obj = state.evaluate(trial_lat, tasks)
         if trial_obj < obj - hyst * max(abs(obj), 1e-12):

@@ -41,11 +41,11 @@ import numpy as np
 
 from repro.core.allocation import (
     Allocation,
+    SolutionStages,
     _LazyLinkBW,
     allocate_shares,
     power_shares,
     solution_latencies,
-    solution_latency_task,
 )
 from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.objectives import Objective
@@ -238,13 +238,13 @@ def best_response_offloading(
         plan_idx.append(int(np.argmin(lat)))
 
     engine = _GameShares(tasks, candsets, cluster, lm, objective)
+    stages = SolutionStages(tasks, cluster, lm)
 
     def player_latency(i: int, s: Optional[int], j: int, x: float, y: float) -> float:
-        return solution_latency_task(
-            tasks[i], candsets[i], j, s, x, y, cluster, lm,
+        return float(stages.price(
+            candsets, [i], [j], [s], np.array([x]), np.array([y]),
             include_queueing=include_queueing, overload="penalty",
-            device=devices[i],
-        )
+        )[0])
 
     def eval_objective() -> float:
         # graded overload surrogate keeps improvement dynamics meaningful
@@ -252,7 +252,7 @@ def best_response_offloading(
         alloc = Allocation(list(assignment), engine.compute.copy(), engine.bandwidth.copy())
         lat = solution_latencies(
             tasks, candsets, plan_idx, alloc, cluster, lm, include_queueing,
-            overload="penalty",
+            overload="penalty", stages=stages,
         )
         return objective.evaluate(lat, tasks)
 

@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.allocation import (
     Allocation,
     IncrementalAllocator,
+    SolutionStages,
     allocate_shares,
     assign_servers,
     solution_latencies,
@@ -222,6 +223,7 @@ class _SolveContext:
         self.allocator = IncrementalAllocator(
             tasks, candsets, cluster, latency_model, objective
         )
+        self.stages = SolutionStages(tasks, cluster, latency_model)
 
 
 class JointOptimizer:
@@ -427,7 +429,7 @@ class JointOptimizer:
             alloc = Allocation(list(assignment), np.ones(n), np.ones(n))
             plan_idx = self._surgery_step(tasks, candsets, alloc, ctx, counters)
             alloc = inc.solve(plan_idx, assignment, counters)
-            obj = self._objective(tasks, candsets, plan_idx, alloc, counters)
+            obj = self._objective(tasks, candsets, plan_idx, alloc, ctx, counters)
 
         history = [obj]
         converged = False
@@ -439,7 +441,7 @@ class JointOptimizer:
             new_idx = self._surgery_step(tasks, candsets, alloc, ctx, counters)
             changed = [i for i in range(n) if new_idx[i] != plan_idx[i]]
             new_alloc = inc.update(alloc, new_idx, alloc.assignment, changed, counters)
-            new_obj = self._objective(tasks, candsets, new_idx, new_alloc, counters)
+            new_obj = self._objective(tasks, candsets, new_idx, new_alloc, ctx, counters)
             if new_obj <= obj:
                 plan_idx, alloc, obj = new_idx, new_alloc, new_obj
 
@@ -451,7 +453,9 @@ class JointOptimizer:
                         risk=cfg.risk,
                     )
                     cand_alloc = inc.solve(plan_idx, cand_assignment, counters)
-                    cand_obj = self._objective(tasks, candsets, plan_idx, cand_alloc, counters)
+                    cand_obj = self._objective(
+                        tasks, candsets, plan_idx, cand_alloc, ctx, counters
+                    )
                     if cand_obj < obj:
                         alloc, obj = cand_alloc, cand_obj
                 if cfg.local_search:
@@ -540,7 +544,7 @@ class JointOptimizer:
             self.cluster, self.latency_model, self.objective,
         )
         counters.allocate_calls += 1
-        new_obj = self._objective(tasks, new_candsets, new_idx, new_alloc, counters)
+        new_obj = self._objective(tasks, new_candsets, new_idx, new_alloc, ctx, counters)
         if new_obj < obj:
             return new_candsets, new_idx, new_alloc, new_obj
         return candsets, plan_idx, alloc, obj
@@ -576,7 +580,7 @@ class JointOptimizer:
         base_lat = solution_latencies(
             tasks, candsets, plan_idx, alloc, self.cluster, self.latency_model,
             include_queueing=cfg.include_queueing, overload="penalty",
-            risk=cfg.risk,
+            risk=cfg.risk, stages=ctx.stages,
         )
         counters.latency_evals += len(tasks)
         for i, task in enumerate(tasks):
@@ -621,28 +625,18 @@ class JointOptimizer:
                     trial_alloc = prov
                 else:
                     trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-                # only tasks sharing a touched group can change latency
-                affected = {
-                    t for t, a in enumerate(assignment)
-                    if a == current or a == option
-                }
-                affected.add(i)
+                # only tasks sharing a touched group (task i among them) can
+                # change latency: re-price those rows in one kernel call
+                affected = [
+                    t for t, a in enumerate(assignment) if a == current or a == option
+                ]
                 trial_lat = base_lat.copy()
-                for t_i in affected:
-                    trial_lat[t_i] = solution_latency_task(
-                        tasks[t_i],
-                        candsets[t_i],
-                        trial_idx[t_i],
-                        trial_alloc.assignment[t_i],
-                        float(trial_alloc.compute_shares[t_i]),
-                        float(trial_alloc.bandwidth_shares[t_i]),
-                        self.cluster,
-                        self.latency_model,
-                        include_queueing=cfg.include_queueing,
-                        overload="penalty",
-                        device=ctx.devices[t_i],
-                        risk=cfg.risk,
-                    )
+                trial_lat[affected] = solution_latency_task(
+                    affected, tasks, candsets, trial_idx, trial_alloc,
+                    self.cluster, self.latency_model,
+                    include_queueing=cfg.include_queueing, overload="penalty",
+                    risk=cfg.risk, stages=ctx.stages,
+                )
                 counters.latency_evals += len(affected)
                 trial_obj = self.objective.evaluate(trial_lat, tasks)
                 if trial_obj < best[0]:
@@ -693,6 +687,7 @@ class JointOptimizer:
         candsets: Sequence[CandidateSet],
         plan_idx: Sequence[int],
         alloc: Allocation,
+        ctx: _SolveContext,
         counters: Optional[PerfCounters] = None,
     ) -> float:
         # internal search objective: graded overload surrogate, so descent
@@ -708,6 +703,7 @@ class JointOptimizer:
             include_queueing=self.config.include_queueing,
             overload="penalty",
             risk=self.config.risk,
+            stages=ctx.stages,
         )
         if counters is not None:
             counters.latency_evals += len(tasks)

@@ -5,10 +5,10 @@ plan that "meets" its deadline in expectation can miss it a third of the
 time under realistic service-time jitter.  This module adds the stochastic
 half: a :class:`RiskConfig` describing the certification target
 ``P[latency ≤ deadline] ≥ 1 − ε`` and the per-request jitter model, the
-buffer multiplier ``κ(ε)``, and the variance algebra the latency kernels
-(:meth:`repro.core.candidates.CandidateSet.latencies`,
-:func:`repro.core.allocation.solution_latency_task`) use to turn the
-second-moment columns they already carry into a per-plan latency ``σ``.
+buffer multiplier ``κ(ε)``, and the variance algebra the latency kernel
+(:func:`repro.core.queueing.plan_latency`, behind both candidate ranking and
+solution pricing) uses to turn the second-moment columns it already reads
+into a per-plan latency ``σ``.
 
 **Buffer math.**  With ``T`` the per-request latency, ``μ = E[T]`` and
 ``σ̂ ≥ sqrt(Var T)`` any upper bound on its standard deviation, Cantelli's
@@ -143,10 +143,16 @@ def stage_std(
     overhead — matching the simulator); ``B`` is the Bernoulli(``p_visit``)
     visit indicator (1 for the device stage, ``p_offload`` for server/link
     stages; ``W > 0`` implies ``B = 1``, so ``E[W·B] = E[W]``).  Also covers
-    the RTT term as ``stage_std(0, 0, rtt, p, 0)``.
+    the RTT term as ``stage_std(0, 0, rtt, p, 0)``.  ``overhead`` squares
+    through libm pow for scalars and arrays alike, so a per-row call matches
+    a scalar one bit for bit.
     """
     m1 = work_mean + p_visit * overhead
-    m2 = work_sq * (1.0 + rel_var) + 2.0 * overhead * work_mean + p_visit * overhead**2
+    m2 = (
+        work_sq * (1.0 + rel_var)
+        + 2.0 * overhead * work_mean
+        + p_visit * np.float_power(overhead, 2.0)
+    )
     return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 

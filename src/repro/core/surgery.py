@@ -14,11 +14,12 @@ vectorized pass, making full enumeration cheap enough to run per task.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.plan import PlanFeatures, SurgeryPlan
+from repro.core.queueing import FeatureColumns, plan_latency, stage_params
 from repro.devices.device import DeviceSpec
 from repro.devices.latency import LatencyModel
 from repro.errors import PlanError
@@ -146,91 +147,6 @@ def _evaluate_plan_uncached(model: MultiExitModel, plan: SurgeryPlan) -> PlanFea
     )
 
 
-def plan_latency(
-    dev_flops: np.ndarray,
-    srv_flops: np.ndarray,
-    wire_bytes: np.ndarray,
-    p_offload: np.ndarray,
-    device: DeviceSpec,
-    latency_model: LatencyModel,
-    server: Optional[DeviceSpec] = None,
-    link: Optional[Link] = None,
-    compute_share: float = 1.0,
-    bandwidth_share: float = 1.0,
-    server_wait_s: float = 0.0,
-) -> np.ndarray:
-    """Expected latency for feature arrays under a concrete allocation.
-
-    Fully vectorized; feature arrays broadcast together.  For plans with any
-    offloaded mass (``p_offload > 0`` or ``srv_flops > 0``) a ``server`` and
-    ``link`` are required.  ``server_wait_s`` adds a queueing delay paid by
-    offloaded requests only.
-    """
-    dev_flops = np.asarray(dev_flops, dtype=float)
-    srv_flops = np.asarray(srv_flops, dtype=float)
-    wire_bytes = np.asarray(wire_bytes, dtype=float)
-    p_offload = np.asarray(p_offload, dtype=float)
-
-    r_dev = latency_model.throughput(device)
-    # the device segment (and its dispatch overhead) only runs if the plan
-    # actually executes work locally
-    t = np.where(dev_flops > 0, dev_flops / r_dev + device.overhead_s, 0.0)
-
-    uses_server = (p_offload > 0) | (srv_flops > 0) | (wire_bytes > 0)
-    if np.any(uses_server):
-        if server is None or link is None:
-            raise PlanError("plans with offloaded work need a server and a link")
-        if not (0.0 < compute_share <= 1.0 + 1e-12):
-            raise PlanError(f"compute share must be in (0,1], got {compute_share}")
-        if not (0.0 < bandwidth_share <= 1.0 + 1e-12):
-            raise PlanError(f"bandwidth share must be in (0,1], got {bandwidth_share}")
-        r_srv = latency_model.throughput(server) * compute_share
-        bw = link.bandwidth_bps * bandwidth_share
-        t = t + (
-            srv_flops / r_srv
-            + p_offload * (link.rtt_s + server.overhead_s + server_wait_s)
-            + wire_bytes / bw
-        )
-    return t
-
-
-def plan_latency_scalar(
-    dev_flops: float,
-    srv_flops: float,
-    wire_bytes: float,
-    p_offload: float,
-    device: DeviceSpec,
-    latency_model: LatencyModel,
-    server: Optional[DeviceSpec] = None,
-    link: Optional[Link] = None,
-    compute_share: float = 1.0,
-    bandwidth_share: float = 1.0,
-    server_wait_s: float = 0.0,
-) -> float:
-    """Scalar :func:`plan_latency` for a single plan (the refinement hot loop).
-
-    Mirrors the array path's expression tree on Python floats — bit-identical
-    results without the ndarray wrapping overhead.
-    """
-    r_dev = latency_model.throughput(device)
-    t = dev_flops / r_dev + device.overhead_s if dev_flops > 0 else 0.0
-    if p_offload > 0 or srv_flops > 0 or wire_bytes > 0:
-        if server is None or link is None:
-            raise PlanError("plans with offloaded work need a server and a link")
-        if not (0.0 < compute_share <= 1.0 + 1e-12):
-            raise PlanError(f"compute share must be in (0,1], got {compute_share}")
-        if not (0.0 < bandwidth_share <= 1.0 + 1e-12):
-            raise PlanError(f"bandwidth share must be in (0,1], got {bandwidth_share}")
-        r_srv = latency_model.throughput(server) * compute_share
-        bw = link.bandwidth_bps * bandwidth_share
-        t = t + (
-            srv_flops / r_srv
-            + p_offload * (link.rtt_s + server.overhead_s + server_wait_s)
-            + wire_bytes / bw
-        )
-    return float(t)
-
-
 #: Fine per-exit threshold grid used by :func:`refine_thresholds`.
 REFINE_GRID: Tuple[float, ...] = (
     0.3, 0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97,
@@ -266,47 +182,49 @@ def refine_thresholds(
     plan.validate_against(model)
     if not (0.0 < accuracy_floor <= 1.0):
         raise PlanError(f"accuracy floor must be in (0,1], got {accuracy_floor}")
+    stages = stage_params(
+        device, latency_model, server, link, compute_share, bandwidth_share
+    )
 
-    def evaluate(p: SurgeryPlan) -> Tuple[float, PlanFeatures]:
-        f = evaluate_plan(model, p)
-        if f.accuracy < accuracy_floor - 1e-12:
-            return np.inf, f
-        lat = plan_latency_scalar(
-            f.dev_flops,
-            f.srv_flops,
-            f.wire_bytes,
-            f.p_offload,
-            device,
-            latency_model,
-            server=server,
-            link=link,
-            compute_share=compute_share,
-            bandwidth_share=bandwidth_share,
-        )
-        return lat, f
+    def evaluate(plans: List[SurgeryPlan]) -> Tuple[np.ndarray, List[PlanFeatures]]:
+        feats = [evaluate_plan(model, p) for p in plans]
+        lat = plan_latency(FeatureColumns.of(feats), **stages)
+        acc = np.array([f.accuracy for f in feats])
+        return np.where(acc < accuracy_floor - 1e-12, np.inf, lat), feats
 
     best_plan = plan
-    best_lat, best_feats = evaluate(plan)
+    lats, feats = evaluate([plan])
+    best_lat, best_feats = lats[0], feats[0]
     n_early = len(plan.kept_exits) - 1
     if n_early == 0:
         return best_plan, best_feats
     for _ in range(max_sweeps):
         improved = False
         for pos in range(n_early):
+            # the trial plans at one position differ from the incumbent only
+            # at that position, so they do not depend on which of them gets
+            # accepted: price the whole grid in one kernel call, then run the
+            # sequential acceptance scan over it
+            trials = []
             for theta in grid:
                 if theta == best_plan.thresholds[pos]:
                     continue
                 thresholds = list(best_plan.thresholds)
                 thresholds[pos] = theta
-                trial = SurgeryPlan(
-                    kept_exits=best_plan.kept_exits,
-                    thresholds=tuple(thresholds),
-                    partition_cut=best_plan.partition_cut,
-                    quantization=best_plan.quantization,
+                trials.append(
+                    SurgeryPlan(
+                        kept_exits=best_plan.kept_exits,
+                        thresholds=tuple(thresholds),
+                        partition_cut=best_plan.partition_cut,
+                        quantization=best_plan.quantization,
+                    )
                 )
-                lat, feats = evaluate(trial)
+            if not trials:
+                continue
+            lats, feats = evaluate(trials)
+            for trial, lat, f in zip(trials, lats, feats):
                 if lat < best_lat - 1e-12:
-                    best_plan, best_lat, best_feats = trial, lat, feats
+                    best_plan, best_lat, best_feats = trial, lat, f
                     improved = True
         if not improved:
             break

@@ -5,15 +5,12 @@ optionally scaled by a *compute share* — the fraction of the device's
 capacity the resource allocator granted to this task (servers are shared;
 end devices usually run one task at share 1).
 
-Two granularities are provided:
-
-- ``segment_time``: aggregate, used by the optimizer's inner loop — one
-  blended-throughput division plus the per-invocation overhead.  This is the
-  hot path (called O(tasks × plans × iterations) times) and is pure float
-  arithmetic.
-- ``layer_time``: per-layer, used by the offline profiler to produce the
-  per-layer latency tables (experiment E1) exactly the way Neurosurgeon-class
-  systems measure them.
+The optimizer's inner loop only needs :meth:`LatencyModel.throughput` — the
+blended FLOP/s the latency kernel (:func:`repro.core.queueing.plan_latency`)
+divides aggregate plan FLOPs by.  :meth:`LatencyModel.layer_time` is the
+per-layer granularity, used by the offline profiler to produce the per-layer
+latency tables (experiment E1) exactly the way Neurosurgeon-class systems
+measure them.
 """
 
 from __future__ import annotations
@@ -21,10 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
 from repro.devices.device import DeviceSpec
-from repro.errors import ConfigError
 from repro.models.layers import (
     Activation,
     Add,
@@ -75,41 +69,10 @@ class LatencyModel:
     """Latency predictor over :class:`DeviceSpec` objects.
 
     ``flops_mix`` sets the blended-throughput assumption of
-    :meth:`segment_time`; the default matches conv-dominated CNNs.
+    :meth:`throughput`; the default matches conv-dominated CNNs.
     """
 
     flops_mix: Optional[Mapping[str, float]] = None
-
-    def segment_time(
-        self, flops: float, device: DeviceSpec, share: float = 1.0
-    ) -> float:
-        """Seconds to execute ``flops`` on ``device`` at the given share.
-
-        ``share`` in (0, 1] models processor-sharing allocation; the fixed
-        invocation overhead is *not* scaled by share (dispatch cost is paid
-        at full speed regardless of the quota).
-        """
-        if share <= 0.0 or share > 1.0 + 1e-12:
-            raise ConfigError(f"compute share must be in (0,1], got {share}")
-        if flops < 0:
-            raise ConfigError(f"negative flops: {flops}")
-        if flops == 0:
-            return 0.0
-        rate = device.blended_flops(self.flops_mix) * share
-        return flops / rate + device.overhead_s
-
-    def segment_time_vec(
-        self, flops: np.ndarray, device: DeviceSpec, share: float = 1.0
-    ) -> np.ndarray:
-        """Vectorized :meth:`segment_time` over an array of FLOP counts."""
-        if share <= 0.0 or share > 1.0 + 1e-12:
-            raise ConfigError(f"compute share must be in (0,1], got {share}")
-        flops = np.asarray(flops, dtype=float)
-        if np.any(flops < 0):
-            raise ConfigError("negative flops in vector")
-        rate = device.blended_flops(self.flops_mix) * share
-        t = flops / rate + device.overhead_s
-        return np.where(flops == 0.0, 0.0, t)
 
     def layer_time(self, layer: Layer, flops: float, device: DeviceSpec) -> float:
         """Seconds for one layer, using its class-specific efficiency.

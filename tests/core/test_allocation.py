@@ -11,7 +11,7 @@ from repro.core.allocation import (
     sqrt_shares,
 )
 from repro.core.objectives import Objective
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PlanError
 
 
 class TestSqrtShares:
@@ -174,6 +174,43 @@ class TestSolutionLatencies:
             hot, small_candidates, off_idx, alloc, small_cluster, latency_model
         )
         assert np.all(np.isinf(lat))
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("short candsets", ConfigError),
+            ("short plan_idx", ConfigError),
+            ("short allocation", ConfigError),
+            ("plan index past the set", PlanError),
+            ("negative plan index", PlanError),
+            ("server index past the cluster", ConfigError),
+            ("negative server index", ConfigError),
+        ],
+    )
+    def test_malformed_solution_raises_typed_error(
+        self, case, error, small_tasks, small_candidates, small_cluster, latency_model
+    ):
+        cands = list(small_candidates)
+        plan_idx = [0, 0]
+        alloc = Allocation([0, 1], np.ones(2), np.ones(2))
+        if case == "short candsets":
+            cands = cands[:1]
+        elif case == "short plan_idx":
+            plan_idx = [0]
+        elif case == "short allocation":
+            alloc = Allocation([0], np.ones(1), np.ones(1))
+        elif case == "plan index past the set":
+            plan_idx = [len(cands[0]), 0]
+        elif case == "negative plan index":
+            plan_idx = [0, -1]
+        elif case == "server index past the cluster":
+            alloc = Allocation([0, small_cluster.num_servers], np.ones(2), np.ones(2))
+        else:
+            alloc = Allocation([-1, 0], np.ones(2), np.ones(2))
+        with pytest.raises(error):
+            solution_latencies(
+                small_tasks, cands, plan_idx, alloc, small_cluster, latency_model
+            )
 
 
 class TestPowerShares:

@@ -105,12 +105,6 @@ class TestEvaluation:
         assert np.all(np.isinf(lat[offloaders]))
         assert np.all(np.isfinite(lat[~offloaders]))
 
-    def test_best_returns_argmin(self, full_set, pi4, edge_gpu, latency_model):
-        idx, lat = full_set.best(pi4, latency_model, server=edge_gpu, link=LINK)
-        all_lat = full_set.latencies(pi4, latency_model, server=edge_gpu, link=LINK)
-        assert lat == pytest.approx(float(all_lat.min()))
-        assert all_lat[idx] == pytest.approx(lat)
-
     def test_more_compute_share_never_hurts(self, full_set, pi4, edge_gpu, latency_model):
         lo = full_set.latencies(
             pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.2

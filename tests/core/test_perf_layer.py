@@ -9,8 +9,6 @@ import pytest
 from repro.core.allocation import (
     IncrementalAllocator,
     allocate_shares,
-    solution_latencies,
-    solution_latency_task,
 )
 from repro.core.candidates import (
     CandidateSet,
@@ -145,23 +143,6 @@ class TestIncrementalAllocator:
         np.testing.assert_array_equal(
             incremental.bandwidth_shares, full.bandwidth_shares
         )
-
-    def test_task_kernel_matches_solution_latencies(
-        self, state, small_cluster, small_tasks, small_candidates
-    ):
-        inc, plan_idx, assignment = state
-        alloc = inc.solve(plan_idx, assignment)
-        lat = solution_latencies(
-            small_tasks, small_candidates, plan_idx, alloc,
-            small_cluster, LatencyModel(), overload="penalty",
-        )
-        for i, task in enumerate(small_tasks):
-            one = solution_latency_task(
-                task, small_candidates[i], plan_idx[i], alloc.assignment[i],
-                float(alloc.compute_shares[i]), float(alloc.bandwidth_shares[i]),
-                small_cluster, LatencyModel(), overload="penalty",
-            )
-            assert one == lat[i]
 
 
 class TestSolverDeterminism:

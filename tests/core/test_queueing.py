@@ -6,9 +6,9 @@ import pytest
 from repro.core.queueing import (
     aggregate_server_load,
     mg1_wait,
-    mg1_wait_vec,
     mm1_response,
     mm1_wait,
+    pk_wait,
     superposed_mg1_wait,
     utilization,
 )
@@ -74,7 +74,7 @@ class TestMG1:
         lam = np.array([0.0, 1.0, 3.0])
         s = np.array([0.4, 0.4, 0.4])
         s2 = s * s
-        vec = mg1_wait_vec(lam, s, s2)
+        vec = pk_wait(lam, s, s2)
         assert vec[0] == 0.0
         assert vec[1] == pytest.approx(mg1_wait(1.0, 0.4, 0.16))
         assert vec[2] == float("inf")

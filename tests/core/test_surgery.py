@@ -8,7 +8,6 @@ from repro.core.surgery import (
     DEFAULT_THRESHOLD_GRID,
     enumerate_features,
     evaluate_plan,
-    plan_latency,
 )
 from repro.errors import PlanError
 from repro.network.link import Link
@@ -90,63 +89,60 @@ class TestEvaluatePlan:
             )
 
 
+def one_plan(model, feats):
+    """A single-candidate set: the ranking entry prices exactly this plan."""
+    from repro.core.candidates import CandidateSet
+    from repro.core.plan import TaskSpec
+
+    return CandidateSet(TaskSpec("t", model, "d"), [feats])
+
+
 class TestPlanLatency:
+    """Placement and share validation at the ranking entry
+    (:meth:`CandidateSet.latencies`), which the latency kernel sits behind."""
+
     def test_local_needs_no_server(self, me_resnet18, pi4, latency_model):
         last = len(me_resnet18.backbone.cut_points) - 1
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, last))
-        t = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4, latency_model
-        )
+        t = one_plan(me_resnet18, f).latencies(pi4, latency_model)
         expected = f.dev_flops / latency_model.throughput(pi4) + pi4.overhead_s
-        assert float(t) == pytest.approx(expected)
+        assert float(t[0]) == pytest.approx(expected)
 
-    def test_offload_requires_server(self, me_resnet18, pi4, latency_model):
+    def test_offload_requires_server(self, me_resnet18, pi4, edge_gpu, latency_model):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
+        cs = one_plan(me_resnet18, f)
+        # placed locally an offloading plan is infeasible, not an error ...
+        assert np.isinf(cs.latencies(pi4, latency_model)[0])
+        # ... but half an offload placement is
         with pytest.raises(PlanError):
-            plan_latency(
-                f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4, latency_model
-            )
+            cs.latencies(pi4, latency_model, server=edge_gpu)
+        with pytest.raises(PlanError):
+            cs.latencies(pi4, latency_model, link=LINK)
 
     def test_share_monotonicity(self, me_resnet18, pi4, edge_gpu, latency_model):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
+        cs = one_plan(me_resnet18, f)
 
         def lat(x, y):
             return float(
-                plan_latency(
-                    f.dev_flops,
-                    f.srv_flops,
-                    f.wire_bytes,
-                    f.p_offload,
+                cs.latencies(
                     pi4,
                     latency_model,
                     server=edge_gpu,
                     link=LINK,
                     compute_share=x,
                     bandwidth_share=y,
-                )
+                )[0]
             )
 
         assert lat(1.0, 1.0) < lat(0.5, 1.0) < lat(0.5, 0.5)
 
-    def test_server_wait_charged_to_offloaded(self, me_resnet18, pi4, edge_gpu, latency_model):
-        f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
-        base = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-            pi4, latency_model, server=edge_gpu, link=LINK,
-        )
-        waited = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-            pi4, latency_model, server=edge_gpu, link=LINK, server_wait_s=0.1,
-        )
-        assert float(waited - base) == pytest.approx(0.1 * f.p_offload)
-
     def test_invalid_shares(self, me_resnet18, pi4, edge_gpu, latency_model):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
-        with pytest.raises(PlanError):
-            plan_latency(
-                f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-                pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.0,
-            )
+        cs = one_plan(me_resnet18, f)
+        for shares in ({"compute_share": 0.0}, {"bandwidth_share": 1.5}):
+            with pytest.raises(PlanError):
+                cs.latencies(pi4, latency_model, server=edge_gpu, link=LINK, **shares)
 
 
 class TestEnumeration:
@@ -195,8 +191,9 @@ class TestRefineThresholds:
         task = TaskSpec("t", model, "d", accuracy_floor=floor)
         cs = CandidateSet(task, enumerate_features(model, threshold_grid=(0.8,)))
         cs = cs.filter_accuracy(floor)
-        j, lat = cs.best(pi4, latency_model, server=edge_gpu, link=LINK)
-        return cs.features[j], lat
+        lat = cs.latencies(pi4, latency_model, server=edge_gpu, link=LINK)
+        j = int(np.argmin(lat))
+        return cs.features[j], float(lat[j])
 
     def test_never_worse_and_floor_respected(self, me_resnet18, pi4, edge_gpu, latency_model):
         from repro.core.surgery import refine_thresholds
@@ -206,10 +203,9 @@ class TestRefineThresholds:
             me_resnet18, feats.plan, pi4, latency_model, 0.6,
             server=edge_gpu, link=LINK,
         )
-        ref_lat = plan_latency(
-            refined.dev_flops, refined.srv_flops, refined.wire_bytes,
-            refined.p_offload, pi4, latency_model, server=edge_gpu, link=LINK,
-        )
+        ref_lat = one_plan(me_resnet18, refined).latencies(
+            pi4, latency_model, server=edge_gpu, link=LINK
+        )[0]
         assert float(ref_lat) <= lat + 1e-12
         assert refined.accuracy >= 0.6 - 1e-12
 
@@ -223,10 +219,9 @@ class TestRefineThresholds:
             me_resnet18, feats.plan, pi4, latency_model, 0.55,
             server=edge_gpu, link=LINK,
         )
-        ref_lat = plan_latency(
-            refined.dev_flops, refined.srv_flops, refined.wire_bytes,
-            refined.p_offload, pi4, latency_model, server=edge_gpu, link=LINK,
-        )
+        ref_lat = one_plan(me_resnet18, refined).latencies(
+            pi4, latency_model, server=edge_gpu, link=LINK
+        )[0]
         assert float(ref_lat) < lat  # the shared threshold binds here
 
     def test_noop_for_final_only_plan(self, me_resnet18, pi4, latency_model):

@@ -124,6 +124,6 @@ class TestSurgeryIntegration:
             enumerate_features(me_resnet18, threshold_grid=(0.8,), quantization_levels=ALL_LEVELS),
         )
         link = Link(mbps(3), rtt_s=10e-3)
-        _, lat32 = cs32.filter_accuracy(0.55).best(pi4, latency_model, server=edge_gpu, link=link)
-        _, latq = csq.filter_accuracy(0.55).best(pi4, latency_model, server=edge_gpu, link=link)
-        assert latq < lat32
+        lat32 = cs32.filter_accuracy(0.55).latencies(pi4, latency_model, server=edge_gpu, link=link)
+        latq = csq.filter_accuracy(0.55).latencies(pi4, latency_model, server=edge_gpu, link=link)
+        assert latq.min() < lat32.min()

@@ -58,7 +58,7 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
     pi4 = request.getfixturevalue("pi4")
     gpu = request.getfixturevalue("edge_gpu")
     lm = request.getfixturevalue("latency_model")
-    from repro.core.surgery import plan_latency
+    from repro.core.queueing import FeatureColumns, plan_latency, stage_params
     from repro.network.link import Link
     from repro.units import mbps
 
@@ -71,21 +71,12 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
     f0 = evaluate_plan(model, plan)
     if f0.accuracy < floor:
         return  # input infeasible; nothing to check
-    lat0 = float(
-        plan_latency(
-            f0.dev_flops, f0.srv_flops, f0.wire_bytes, f0.p_offload, pi4, lm,
-            server=gpu, link=link, compute_share=x,
-        )
-    )
+    stages = stage_params(pi4, lm, gpu, link, compute_share=x)
+    lat0 = float(plan_latency(FeatureColumns.of([f0]), **stages)[0])
     refined_plan, fr = refine_thresholds(
         model, plan, pi4, lm, floor, server=gpu, link=link, compute_share=x
     )
-    lat1 = float(
-        plan_latency(
-            fr.dev_flops, fr.srv_flops, fr.wire_bytes, fr.p_offload, pi4, lm,
-            server=gpu, link=link, compute_share=x,
-        )
-    )
+    lat1 = float(plan_latency(FeatureColumns.of([fr]), **stages)[0])
     assert lat1 <= lat0 + 1e-12
     assert fr.accuracy >= floor - 1e-12
     # structure is preserved: only thresholds may change
