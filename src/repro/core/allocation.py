@@ -420,6 +420,20 @@ class SolutionStages:
             self._links[key] = params
         return params
 
+    def _placements(
+        self, rows: Sequence[int], servers: Sequence[Optional[int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per placement ``k`` (task ``rows[k]`` on ``servers[k]``): the
+        server's (throughput, overhead), the link's (bandwidth, rtt), and
+        whether it is local."""
+        srv_idx = np.array(
+            [self._local if s is None else s for s in servers], dtype=np.intp
+        )
+        link = np.array(
+            [self._link(i, s) for i, s in zip(rows, servers)], dtype=float
+        ).reshape(-1, 2)
+        return self._servers[srv_idx], link, srv_idx == self._local
+
     def price(
         self,
         candsets: Sequence[CandidateSet],
@@ -436,14 +450,7 @@ class SolutionStages:
         ``servers[k]`` (``None`` = local) at the given shares, for every
         ``k`` — one :func:`~repro.core.queueing.plan_latency` call."""
         idx = np.asarray(rows, dtype=np.intp)
-        srv_idx = np.array(
-            [self._local if s is None else s for s in servers], dtype=np.intp
-        )
-        srv = self._servers[srv_idx]
-        link = np.array(
-            [self._link(i, s) for i, s in zip(rows, servers)], dtype=float
-        ).reshape(-1, 2)
-        local = srv_idx == self._local
+        srv, link, local = self._placements(rows, servers)
         return plan_latency(
             FeatureColumns.of([candsets[i].features[j] for i, j in zip(rows, plans)]),
             self.r_dev[idx],
@@ -456,6 +463,46 @@ class SolutionStages:
             arrival_rate=self.lam[idx] if include_queueing else None,
             risk=risk,
             overload=overload,
+        )
+
+    def rank(
+        self,
+        candset: CandidateSet,
+        i: int,
+        servers: Sequence[Optional[int]],
+        compute_shares: np.ndarray,
+        bandwidth_shares: np.ndarray,
+        include_queueing: bool = True,
+        risk: Optional["RiskConfig"] = None,
+    ) -> np.ndarray:
+        """Task ``i``'s candidates ranked under several placements at once.
+
+        Row ``k`` of the ``(len(servers), len(candset))`` result is
+        :meth:`CandidateSet.latencies <repro.core.candidates.CandidateSet.latencies>`
+        of task ``i`` on server ``servers[k]`` (``None`` = local) at shares
+        ``compute_shares[k]`` / ``bandwidth_shares[k]``, bit for bit — one
+        :func:`~repro.core.queueing.plan_latency` call with per-placement
+        stage parameters of shape ``(placements, 1)``.  Raises
+        :class:`~repro.errors.PlanError` for a share outside (0, 1].
+        """
+        for shares, kind in ((compute_shares, "compute"), (bandwidth_shares, "bandwidth")):
+            if not np.all((shares > 0.0) & (shares <= 1.0 + 1e-12)):
+                raise PlanError(f"{kind} shares must be in (0,1], got {shares}")
+        srv, link, local = self._placements([i] * len(servers), servers)
+        local = local[:, None]
+        # per-task scalars stay Python floats, as in the one-placement ranking
+        return plan_latency(
+            candset,
+            float(self.r_dev[i]),
+            float(self.oh_dev[i]),
+            r_srv=(srv[:, 0] * compute_shares)[:, None],
+            oh_srv=srv[:, 1:],
+            bw=(link[:, 0] * bandwidth_shares)[:, None],
+            rtt=link[:, 1:],
+            local=local if local.any() else None,
+            arrival_rate=float(self.lam[i]) if include_queueing else None,
+            risk=risk,
+            overload="penalty",
         )
 
 

@@ -645,9 +645,12 @@ def _migration_round(
             trial_alloc = prov
         else:
             trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-        # task i is among current's members
+        # task i plus the members of the servers it leaves and joins: a
+        # locally placed task shares no group, so its latency cannot change
         affected = [
-            t for t, a in enumerate(assignment) if a == current or a == target
+            t
+            for t, a in enumerate(assignment)
+            if t == i or (a is not None and (a == current or a == target))
         ]
         trial_lat = base_lat.copy()
         trial_lat[affected] = solution_latency_task(
@@ -674,9 +677,10 @@ class _FastMigrationState:
     Three things the dense round recomputes O(tasks)-wise per trial, hoisted
     or maintained incrementally instead — all bit-identical:
 
-    - the objective's per-task arrays (weights / deadlines), built once; the
-      weight sum is the sum of the same array the dense path rebuilds, so
-      every evaluated objective is the same float;
+    - the objective, bound once to the task list
+      (:meth:`~repro.core.objectives.Objective.evaluator`), so every
+      evaluated objective is the same float without the per-call array
+      rebuilds;
     - the server → member-tasks inverse of the assignment (ascending lists,
       exactly what an index scan yields), moved under each trial and moved
       back on rejection;
@@ -690,34 +694,11 @@ class _FastMigrationState:
         affinity: AffinityIndex,
         assignment: Sequence[Optional[int]],
     ) -> None:
-        self.objective = objective
         self.tpl = np.asarray(affinity.template_of, dtype=np.int64)
-        self.w: Optional[np.ndarray] = None
-        self.w_sum = 0.0
-        self.deadlines: Optional[np.ndarray] = None
-        if objective is Objective.AVG_LATENCY:
-            self.w = np.array([t.weight for t in tasks])
-            self.w_sum = self.w.sum()
-        elif objective is Objective.DEADLINE_MISS:
-            self.deadlines = np.array([t.deadline_s for t in tasks])
+        self.evaluate = objective.evaluator(tasks)
         self.members: Dict[Optional[int], List[int]] = {}
         for i, a in enumerate(assignment):
             self.members.setdefault(a, []).append(i)
-
-    def evaluate(self, lat: np.ndarray, tasks: Sequence[TaskSpec]) -> float:
-        """Same value as :meth:`Objective.evaluate`, without the per-call
-        Python array rebuilds."""
-        if np.any(np.isinf(lat)):
-            return float("inf")
-        if self.objective is Objective.AVG_LATENCY:
-            return float(np.dot(self.w, lat) / self.w_sum)
-        if self.objective is Objective.MAX_LATENCY:
-            return float(lat.max())
-        if self.objective is Objective.DEADLINE_MISS:
-            norm = lat / self.deadlines
-            miss = float(np.mean(norm > 1.0))
-            return miss + 1e-3 * float(np.mean(np.minimum(norm, 10.0)))
-        return self.objective.evaluate(lat, tasks)  # pragma: no cover
 
     def move(self, i: int, src: Optional[int], dst: Optional[int]) -> None:
         """Re-home task ``i``'s membership from server ``src`` to ``dst``."""
@@ -817,8 +798,11 @@ def _migration_round_fast(
                 members_by_server=state.members,
             )
         # the moved task is already in target's member list, so current's
-        # remainder plus target's members is the dense O(tasks) scan's set
-        affected = [*state.members.get(current, ()), *state.members.get(target, ())]
+        # remainder plus target's members is the dense O(tasks) scan's set;
+        # locally placed tasks share no group with anyone, so a move out of
+        # local re-prices no one else
+        stay = state.members.get(current, ()) if current is not None else ()
+        affected = [*stay, *state.members[target]]
         trial_lat = base_lat.copy()
         trial_lat[affected] = solution_latency_task(
             affected, tasks, candsets, trial_idx, trial_alloc, cluster, lm,
@@ -826,7 +810,7 @@ def _migration_round_fast(
             risk=cfg.risk, stages=stages,
         )
         counters.latency_evals += len(affected)
-        trial_obj = state.evaluate(trial_lat, tasks)
+        trial_obj = state.evaluate(trial_lat)
         if trial_obj < obj - hyst * max(abs(obj), 1e-12):
             obj = trial_obj
             plan_idx = trial_idx

@@ -19,14 +19,18 @@ perturbed initial assignments — each from its own deterministically spawned
 random stream, optionally in parallel (``restart_workers``) — and returns
 the best fixed point found.
 
-**Hot path.**  The share problem decomposes per server / per access link, so
-trial moves in the local search re-solve only the (at most two) groups a task
-moves between (:class:`~repro.core.allocation.IncrementalAllocator`), and
-trial objectives re-evaluate only the tasks in those groups.  Candidate sets
-come from a process-wide memoized pipeline (see
-:func:`repro.core.candidates.build_candidates`).  Both optimizations are
-bit-exact: a solve produces the same plan, shares, and objective as the
-non-incremental code path.  :class:`~repro.profiling.counters.PerfCounters`
+**Hot path.**  The local search prices all of a task's options against one
+incumbent, together.  The share problem decomposes per server / per access
+link, so the groups the task leaves are re-solved once and each option's
+join groups on top of that
+(:class:`~repro.core.allocation.IncrementalAllocator`); the candidates are
+ranked under every option in one kernel call and every option's affected
+rows — the task plus the members of the servers it leaves and joins — are
+re-priced in one more (:class:`~repro.core.allocation.SolutionStages`).
+Candidate sets come from a process-wide memoized pipeline (see
+:func:`repro.core.candidates.build_candidates`).  All of this is bit-exact:
+a solve produces the same plan, shares, and objective as pricing one option
+at a time with full re-solves.  :class:`~repro.profiling.counters.PerfCounters`
 threaded through :class:`JointResult` counts the work actually done.
 """
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,6 +52,9 @@ from repro.core.allocation import (
     allocate_shares,
     assign_servers,
     solution_latencies,
+    # not called here since trial moves are priced in one gathered
+    # SolutionStages.price call per task; still bound under this module
+    # because perfbench's layer tracer counts calls through this name
     solution_latency_task,
 )
 from repro.core.candidates import (
@@ -224,6 +232,7 @@ class _SolveContext:
             tasks, candsets, cluster, latency_model, objective
         )
         self.stages = SolutionStages(tasks, cluster, latency_model)
+        self.evaluate = objective.evaluator(tasks)
 
 
 class JointOptimizer:
@@ -561,88 +570,139 @@ class JointOptimizer:
     ) -> Tuple[List[int], Allocation, float]:
         """One greedy sweep of single-task (server, plan) moves.
 
-        For each task, try every alternative placement (each server and
-        local) with the plan re-picked for that placement; accept the first
-        configuration that improves the *global* objective.  Escapes
-        assignment local optima the Hungarian step cannot see because it
-        prices all tasks at once.
+        For each task in turn, every alternative placement (local, then each
+        server, skipping the current one) is tried with the plan re-picked
+        for that placement, and the option with the lowest *global* objective
+        is accepted if it strictly improves on the incumbent — ties go to the
+        first in that order.  Escapes assignment local optima the Hungarian
+        step cannot see because it prices all tasks at once.
 
-        A trial move touches at most the server/link groups the task leaves
-        and joins, so shares are re-solved incrementally and the trial
-        objective re-evaluates only the tasks in those groups — everything
-        else is carried over from the incumbent, bit-exact.
+        A task's options are all priced against the same incumbent, so they
+        are priced together, bit-exactly as one at a time:
+
+        - the groups the task leaves are re-solved once (the task parked
+          locally), and each option's join groups on top of that — the same
+          members in the same order as a direct move;
+        - its candidates are ranked under every option in one kernel call
+          (:meth:`SolutionStages.rank`), one row per option;
+        - every option's affected rows — the task plus the members of the
+          servers it leaves and joins; a locally placed task shares no group,
+          so its latency cannot change — are re-priced in one kernel call,
+          and every other latency is carried over from the incumbent.
         """
         cfg = self.config
         m = self.cluster.num_servers
         inc = ctx.allocator
+        stages = ctx.stages
         assignment = list(alloc.assignment)
+        # server -> ascending member tasks, kept in sync with accepted moves
+        members: Dict[int, List[int]] = {}
+        for t, a in enumerate(assignment):
+            if a is not None:
+                members.setdefault(a, []).append(t)
         # incumbent per-task latencies, kept in sync with accepted moves
         base_lat = solution_latencies(
             tasks, candsets, plan_idx, alloc, self.cluster, self.latency_model,
             include_queueing=cfg.include_queueing, overload="penalty",
-            risk=cfg.risk, stages=ctx.stages,
+            risk=cfg.risk, stages=stages,
         )
         counters.latency_evals += len(tasks)
-        for i, task in enumerate(tasks):
-            device = ctx.devices[i]
+        for i in range(len(tasks)):
             current = assignment[i]
-            best = (obj, assignment[i], plan_idx[i], alloc, base_lat)
-            rate = task.arrival_rate if cfg.include_queueing else None
-            for option in [None] + list(range(m)):
-                if option == current:
-                    continue
-                trial_assign = list(assignment)
-                trial_assign[i] = option
-                trial_idx = list(plan_idx)
-                # shares with task i moved (plan unchanged yet): only the two
-                # affected groups are re-solved
-                prov = inc.update(alloc, plan_idx, trial_assign, (i,), counters)
-                if option is None:
-                    lat = candsets[i].latencies(
-                        device, self.latency_model, arrival_rate=rate,
-                        risk=cfg.risk,
-                    )
-                else:
-                    server = self.cluster.servers[option]
-                    link = ctx.links[i][option]
-                    lat = candsets[i].latencies(
-                        device,
-                        self.latency_model,
-                        server=server,
-                        link=link,
-                        compute_share=float(prov.compute_shares[i]),
-                        bandwidth_share=float(prov.bandwidth_shares[i]),
-                        arrival_rate=rate,
-                        risk=cfg.risk,
-                    )
-                counters.candidate_evals += 1
-                j = int(np.argmin(lat))
-                if not np.isfinite(lat[j]):
-                    continue
-                trial_idx[i] = j
-                if j == plan_idx[i]:
-                    # the provisional solve already is the trial allocation
-                    trial_alloc = prov
-                else:
-                    trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-                # only tasks sharing a touched group (task i among them) can
-                # change latency: re-price those rows in one kernel call
-                affected = [
-                    t for t, a in enumerate(assignment) if a == current or a == option
-                ]
-                trial_lat = base_lat.copy()
-                trial_lat[affected] = solution_latency_task(
-                    affected, tasks, candsets, trial_idx, trial_alloc,
-                    self.cluster, self.latency_model,
-                    include_queueing=cfg.include_queueing, overload="penalty",
-                    risk=cfg.risk, stages=ctx.stages,
+            options = [o for o in [None, *range(m)] if o != current]
+            if not options:
+                continue
+            # shares with task i parked locally: the groups it leaves, once
+            if current is None:
+                stay: List[int] = []
+                leave = alloc
+            else:
+                stay = [t for t in members[current] if t != i]
+                leave_assign = list(assignment)
+                leave_assign[i] = None
+                leave = inc.update(
+                    alloc, plan_idx, leave_assign, (i,), counters,
+                    members_by_server={current: stay},
                 )
-                counters.latency_evals += len(affected)
-                trial_obj = self.objective.evaluate(trial_lat, tasks)
+            # provisional shares per option (plan unchanged): its join groups
+            provs: List[Allocation] = []
+            joins: List[Dict[int, List[int]]] = []
+            for o in options:
+                if o is None:
+                    provs.append(leave)
+                    joins.append({})
+                    continue
+                trial_assign = list(leave.assignment)
+                trial_assign[i] = o
+                joined = list(members.get(o, ()))
+                insort(joined, i)
+                joins.append({o: joined})
+                provs.append(inc.update(
+                    leave, plan_idx, trial_assign, (i,), counters,
+                    members_by_server=joins[-1],
+                ))
+            lat = stages.rank(
+                candsets[i], i, options,
+                np.array([p.compute_shares[i] for p in provs]),
+                np.array([p.bandwidth_shares[i] for p in provs]),
+                include_queueing=cfg.include_queueing, risk=cfg.risk,
+            )
+            counters.candidate_evals += len(options)
+            picks = lat.argmin(axis=1)
+            finite = np.isfinite(lat[np.arange(len(options)), picks])
+
+            # each finite option's trial state, its affected rows gathered
+            trials = []
+            rows: List[int] = []
+            plans: List[int] = []
+            servers: List[Optional[int]] = []
+            cshares: List[np.ndarray] = []
+            bshares: List[np.ndarray] = []
+            for k, o in enumerate(options):
+                if not finite[k]:
+                    continue
+                j = int(picks[k])
+                trial_idx = list(plan_idx)
+                trial_idx[i] = j
+                trial_alloc = provs[k]
+                if o is not None and j != plan_idx[i]:
+                    trial_alloc = inc.update(
+                        provs[k], trial_idx, trial_alloc.assignment, (i,), counters,
+                        members_by_server=joins[k],
+                    )
+                affected = [i, *stay, *(members.get(o, ()) if o is not None else ())]
+                trials.append((o, j, trial_alloc, affected))
+                rows += affected
+                plans += [trial_idx[t] for t in affected]
+                servers += [trial_alloc.assignment[t] for t in affected]
+                cshares.append(trial_alloc.compute_shares[affected])
+                bshares.append(trial_alloc.bandwidth_shares[affected])
+            if not trials:
+                continue
+            priced = stages.price(
+                candsets, rows, plans, servers,
+                np.concatenate(cshares), np.concatenate(bshares),
+                include_queueing=cfg.include_queueing, overload="penalty",
+                risk=cfg.risk,
+            )
+            counters.latency_evals += len(rows)
+
+            best = (obj, current, plan_idx[i], alloc, base_lat)
+            start = 0
+            for o, j, trial_alloc, affected in trials:
+                trial_lat = base_lat.copy()
+                trial_lat[affected] = priced[start:start + len(affected)]
+                start += len(affected)
+                trial_obj = ctx.evaluate(trial_lat)
                 if trial_obj < best[0]:
-                    best = (trial_obj, option, j, trial_alloc, trial_lat)
+                    best = (trial_obj, o, j, trial_alloc, trial_lat)
             if best[0] < obj:
-                obj, assignment[i], plan_idx[i], alloc, base_lat = best
+                obj, moved_to, plan_idx[i], alloc, base_lat = best
+                assignment[i] = moved_to
+                if current is not None:
+                    members[current] = stay
+                if moved_to is not None:
+                    insort(members.setdefault(moved_to, []), i)
         return plan_idx, alloc, obj
 
     def _surgery_step(
@@ -707,7 +767,7 @@ class JointOptimizer:
         )
         if counters is not None:
             counters.latency_evals += len(tasks)
-        return self.objective.evaluate(lat, tasks)
+        return ctx.evaluate(lat)
 
     def _package(
         self,

@@ -44,7 +44,9 @@ class PerfCounters:
     latency_evals:
         Per-task end-to-end latency evaluations (objective bookkeeping).
     candidate_evals:
-        Vectorized candidate-set latency sweeps (surgery / local-search).
+        (task, placement) candidate rankings (surgery / local search /
+        migration); the local search ranks all of a task's placements in one
+        kernel call and counts one per placement.
     candidate_cache_hits / candidate_cache_misses:
         Candidate-pipeline cache traffic attributable to this solve (only
         populated when the solver builds its own candidate sets).

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.allocation import (
     Allocation,
+    SolutionStages,
     allocate_shares,
     assign_servers,
     solution_latencies,
@@ -211,6 +212,16 @@ class TestSolutionLatencies:
             solution_latencies(
                 small_tasks, cands, plan_idx, alloc, small_cluster, latency_model
             )
+
+    @pytest.mark.parametrize("share", [0.0, -0.5, 1.5, float("nan")])
+    def test_rank_rejects_share_outside_unit_interval(
+        self, share, small_tasks, small_candidates, small_cluster, latency_model
+    ):
+        stages = SolutionStages(small_tasks, small_cluster, latency_model)
+        good, bad = np.ones(2), np.array([1.0, share])
+        for compute, bandwidth in ((bad, good), (good, bad)):
+            with pytest.raises(PlanError):
+                stages.rank(small_candidates[0], 0, [None, 1], compute, bandwidth)
 
 
 class TestPowerShares:

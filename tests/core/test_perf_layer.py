@@ -3,6 +3,8 @@ pipelines, incremental share re-solves, and parallel restarts must all be
 bit-exact against their from-scratch counterparts, with the work counters
 recording what was actually done."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,45 @@ class TestIncrementalAllocator:
         np.testing.assert_array_equal(
             incremental.bandwidth_shares, full.bandwidth_shares
         )
+
+    @pytest.fixture()
+    def shared(self, small_cluster, small_tasks):
+        """Four tasks on two devices: t0, t2 on dev0 and t1, t3 on dev1;
+        both devices start on server 0, with t2 on server 1 and t3 local."""
+        tasks = list(small_tasks) + [
+            dataclasses.replace(small_tasks[0], name="t2", arrival_rate=1.5),
+            dataclasses.replace(small_tasks[1], name="t3", arrival_rate=4.0),
+        ]
+        cands = [build_candidates(t) for t in tasks]
+        inc = IncrementalAllocator(tasks, cands, small_cluster, LatencyModel())
+        return inc, [len(c) // 3 for c in cands], [0, 0, 1, None]
+
+    @pytest.mark.parametrize(
+        "move",
+        [(0, None), (1, None), (3, 0), (3, 1), (0, 1), (2, 0), (1, 1)],
+        ids=["out-to-local", "out-to-local-other-device", "local-in",
+             "local-in-other-server", "between-servers", "join-shared-server",
+             "leave-shared-server"],
+    )
+    def test_update_with_member_inverse(self, shared, move):
+        """``members_by_server`` ≡ the member scan ≡ a full solve."""
+        inc, plan_idx, assignment = shared
+        base = inc.solve(plan_idx, assignment)
+        task, dest = move
+        new_assign = list(assignment)
+        new_assign[task] = dest
+        new_idx = list(plan_idx)
+        new_idx[task] = 0
+        members = {}
+        for i, a in enumerate(new_assign):
+            members.setdefault(a, []).append(i)
+        scan = inc.update(base, new_idx, new_assign, (task,))
+        inverse = inc.update(base, new_idx, new_assign, (task,), members_by_server=members)
+        full = inc.solve(new_idx, new_assign)
+        for got in (scan, inverse):
+            assert got.assignment == full.assignment
+            np.testing.assert_array_equal(got.compute_shares, full.compute_shares)
+            np.testing.assert_array_equal(got.bandwidth_shares, full.bandwidth_shares)
 
 
 class TestSolverDeterminism:
