@@ -4,7 +4,7 @@ The PR 9 scaling work (sparse affinity index, template-compressed homing,
 incremental shard re-solve) targets exactly these sizes, so this file
 documents the wall times the README/ROADMAP scaling section quotes:
 
-- ``AffinityIndex`` build (sparse mode) — sub-O(tasks × servers);
+- ``AffinityIndex`` build — sub-O(tasks × servers);
 - capacity-bounded homing through the shared index;
 - a full ``solve_sharded`` (the per-shard descents dominate; the
   coordinator's own overhead is what the sparse index removed);
@@ -65,9 +65,7 @@ def test_index_build(benchmark, scale_instance):
     inst = scale_instance
 
     def build():
-        return AffinityIndex(
-            inst["tasks"], inst["cands"], inst["cluster"], mode="sparse"
-        )
+        return AffinityIndex(inst["tasks"], inst["cands"], inst["cluster"])
 
     index = benchmark.pedantic(build, rounds=1, iterations=1)
     assert index.bounds.shape[1] == inst["m"]
@@ -78,7 +76,7 @@ def test_index_build(benchmark, scale_instance):
 def test_homing(benchmark, scale_instance):
     inst = scale_instance
     shards = partition_servers(inst["m"], inst["k"], "interleave")
-    index = AffinityIndex(inst["tasks"], inst["cands"], inst["cluster"], mode="sparse")
+    index = AffinityIndex(inst["tasks"], inst["cands"], inst["cluster"])
 
     homing = benchmark.pedantic(
         lambda: home_tasks(

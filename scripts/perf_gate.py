@@ -57,7 +57,9 @@ instance against a checked-in baseline:
   baseline's recorded ratio (≈5.7×) so run-to-run wall-clock noise on the
   two arms' minima cannot flap the gate;
 - on a 16k-task × 256-server instance, the sparse affinity index must be
-  **bit-identical** to the dense reference (plan + migration history), beat
+  **bit-identical** to the dense reference (plan + migration history; the
+  reference is ``tests/oracles/dense_affinity.py``, which this suite
+  imports from the repository root), beat
   it end-to-end by ``--min-shard-speedup-16k`` (default 1.15×, measured
   ≈1.4×; the per-shard descents are identical work in both arms, so
   end-to-end gains are floored by them), and shrink the coordinator's *own*
@@ -691,6 +693,10 @@ def measure_shard() -> dict:
     from repro.core.joint import JointOptimizer, JointSolverConfig
     from repro.workloads.scenarios import build_scenario
 
+    # the dense affinity arm is the test suite's reference implementation
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles.dense_affinity import solve_sharded_dense
+
     identity = {}
     for scenario, n, m, seed in SHARD_REFERENCE_INSTANCES:
         cluster, tasks = build_scenario(
@@ -723,9 +729,9 @@ def measure_shard() -> dict:
         _plans_equal(serial.plan, pooled.plan)
         and serial.migration_history == pooled.migration_history
     )
-    dense_fan = solve_sharded(
+    dense_fan = solve_sharded_dense(
         tasks, cluster,
-        config=JointSolverConfig(shards=2, migration_rounds=2, affinity="dense"),
+        config=JointSolverConfig(shards=2, migration_rounds=2),
         candidates=cands, seed=3,
     )
     affinity_equal = (
@@ -791,26 +797,24 @@ def measure_shard() -> dict:
     ]
     cands16 = [build_candidates(t) for t in tasks16]
 
-    def _cfg16(affinity):
-        return JointSolverConfig(
-            shards=sc16["shards"],
-            shard_by=sc16["shard_by"],
-            migration_rounds=sc16["migration_rounds"],
-            local_search=False,
-            refine_thresholds=False,
-            affinity=affinity,
-        )
+    cfg16 = JointSolverConfig(
+        shards=sc16["shards"],
+        shard_by=sc16["shard_by"],
+        migration_rounds=sc16["migration_rounds"],
+        local_search=False,
+        refine_thresholds=False,
+    )
 
-    def _timed16(cfg):
+    def _timed16(solve):
         gc.collect()
         t0 = perf_counter()
-        r = solve_sharded(
-            tasks16, cluster16, config=cfg, candidates=cands16, seed=sc16["seed"]
+        r = solve(
+            tasks16, cluster16, config=cfg16, candidates=cands16, seed=sc16["seed"]
         )
         return perf_counter() - t0, r
 
-    sparse16_s, sparse16 = _timed16(_cfg16("sparse"))
-    dense16_s, dense16 = _timed16(_cfg16("dense"))
+    sparse16_s, sparse16 = _timed16(solve_sharded)
+    dense16_s, dense16 = _timed16(solve_sharded_dense)
     sparse16_floor = sum(st.solve_s for st in sparse16.shard_stats)
     dense16_floor = sum(st.solve_s for st in dense16.shard_stats)
     plans_equal_16k = (
@@ -821,7 +825,7 @@ def measure_shard() -> dict:
     t0 = perf_counter()
     resolve_dirty(
         tasks16, cluster16, sparse16, [3],
-        config=_cfg16("sparse"), candidates=cands16, seed=sc16["seed"],
+        config=cfg16, candidates=cands16, seed=sc16["seed"],
     )
     resolve16_s = perf_counter() - t0
 

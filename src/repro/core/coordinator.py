@@ -29,6 +29,9 @@ Determinism contract (gated by ``perf_gate.py --suite shard``):
   per-(device, server) link bandwidth) lives wholly inside one shard; the
   stitched global allocation is re-solved once from the stitched plan and
   matches the union of the shard solutions.
+- :func:`resolve_dirty` re-solves through the same fan-out and stitch, so a
+  dirty shard (a nested region included) re-solves exactly as a fresh solve
+  solves it.
 
 Telemetry: shard ``s`` records on the stream block ``1 + s*(restarts+1)``
 (solve root span) through ``(s+1)*(restarts+1)`` (its restarts), so parallel
@@ -53,19 +56,16 @@ from repro.core.allocation import (
     solution_latencies,
     solution_latency_task,
 )
-from repro.core.candidates import (
-    CandidateSet,
-    build_candidates,
-    candidate_cache_stats,
-)
+from repro.core.candidates import CandidateSet
 from repro.core.joint import (
     JointOptimizer,
     JointResult,
     JointSolverConfig,
     package_plan,
+    prepare_candidates,
 )
 from repro.core.objectives import Objective
-from repro.core.plan import TaskSpec
+from repro.core.plan import JointPlan, TaskSpec
 from repro.core.sharding import (
     AffinityIndex,
     ShardPlan,
@@ -198,25 +198,7 @@ def solve_sharded(
         if tracer.enabled
         else None,
     ) as root:
-        if candidates is None:
-            with tracer.span("solve.candidates"):
-                stats_before = candidate_cache_stats()
-                candsets = [
-                    build_candidates(
-                        t,
-                        threshold_grid=cfg.threshold_grid,
-                        max_cuts=cfg.max_cuts,
-                        cache=cfg.candidate_cache,
-                    )
-                    for t in tasks
-                ]
-                stats_after = candidate_cache_stats()
-                perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-                perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
+        candsets = prepare_candidates(tasks, cfg, candidates, perf)
 
         with tracer.span("solve.shard_plan"):
             # one affinity index serves the homing scores, every migration
@@ -224,7 +206,7 @@ def solve_sharded(
             # incremental re-solve (1-shard solves never need it)
             t_idx = time.perf_counter()
             affinity = (
-                AffinityIndex(tasks, candsets, cluster, lm, mode=cfg.affinity)
+                AffinityIndex(tasks, candsets, cluster, lm)
                 if cfg.shards > 1
                 else None
             )
@@ -234,87 +216,12 @@ def solve_sharded(
             if affinity is not None:
                 perf.index_build_s += time.perf_counter() - t_idx
         k = shard_plan.num_shards
-
-        # shard seeds, all derived upfront in shard order so the outcome is
-        # independent of execution order; shard 0 keeps the base seed so a
-        # 1-shard run reproduces the centralized descent exactly
-        shard_seeds: List[SeedLike] = [None] * k
-        for s in range(1, k):
-            shard_seeds[s] = derive_seed(seed, "shard", s)
-        shard_seeds[0] = seed
-
-        # shard fan-out reuses the restart pool: when it is parallel, each
-        # shard solves its restarts serially (never nested pools)
-        workers = min(cfg.restart_workers, k)
-        inner_cfg = replace(
-            cfg,
-            shards=1,
-            nested_shards=0,  # recursion is one level deep: racks never re-shard
-            restart_workers=1 if workers > 1 else cfg.restart_workers,
+        shard_tasks = shard_plan.tasks_by_shard()
+        shard_results = _fan_out(
+            tasks, candsets, cluster, lm, objective, cfg, shard_plan,
+            shard_tasks, range(k), seed, root.span_id, perf,
         )
-
-        views = [ShardView(cluster, ids) for ids in shard_plan.server_shards]
-        if cfg.affinity == "sparse":
-            # one pass over the homing instead of k scans of it
-            shard_tasks: List[List[int]] = shard_plan.tasks_by_shard()
-        else:
-            shard_tasks = [shard_plan.tasks_of(s) for s in range(k)]
-        stride = cfg.restarts + 1
-
-        def _run(s: int) -> Optional[JointResult]:
-            ids = shard_tasks[s]
-            if not ids:
-                return None
-            cfg_s = inner_cfg
-            if cfg.nested_shards > 1 and views[s].num_servers > 1:
-                # two-level sharding: this region's solve re-shards its view
-                # into racks and runs the same coordinator one level down
-                cfg_s = replace(
-                    inner_cfg,
-                    shards=min(cfg.nested_shards, views[s].num_servers),
-                )
-            solver = JointOptimizer(
-                views[s],
-                latency_model=lm,
-                objective=objective,
-                config=cfg_s,
-                stream_base=1 + s * stride,
-            )
-            with tracer.stream(1 + s * stride, parent=root.span_id):
-                return solver.solve(
-                    [tasks[i] for i in ids],
-                    candidates=[candsets[i] for i in ids],
-                    seed=shard_seeds[s],
-                )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                shard_results = list(pool.map(_run, range(k)))
-        else:
-            shard_results = [_run(s) for s in range(k)]
-
-        # merge per-shard counters in shard order (order-independent of the
-        # pool's completion order); per-shard wall time stays in ShardStats
-        perf.merge(
-            PerfCounters.merged(
-                {s: r.perf for s, r in enumerate(shard_results) if r is not None}
-            )
-        )
-        perf.shard_solves += sum(1 for r in shard_results if r is not None)
-
-        shard_stats = []
-        for s, r in enumerate(shard_results):
-            st = ShardStats(
-                shard=s,
-                servers=shard_plan.server_shards[s],
-                num_tasks=len(shard_tasks[s]),
-            )
-            if r is not None:
-                st.iterations = r.iterations
-                st.converged = r.converged
-                st.objective = r.plan.objective_value
-                st.solve_s = r.perf.solve_s
-            shard_stats.append(st)
+        shard_stats = _shard_stats(shard_plan, shard_tasks, shard_results, range(k))
 
         iterations = max((st.iterations for st in shard_stats), default=0)
         shards_converged = all(st.converged for st in shard_stats)
@@ -342,11 +249,9 @@ def solve_sharded(
                 migration_history=[],
             )
 
-        sparse = cfg.affinity == "sparse"
         with tracer.span("solve.assemble"):
-            assemble = _assemble_fast if sparse else _assemble
-            (candsets, plan_idx, assignment) = assemble(
-                tasks, candsets, shard_results, shard_tasks, views
+            (candsets, plan_idx, assignment) = _assemble(
+                tasks, candsets, shard_plan, shard_tasks, shard_results
             )
             inc = IncrementalAllocator(tasks, candsets, cluster, lm, objective)
             alloc = inc.solve(plan_idx, assignment, perf)
@@ -365,21 +270,19 @@ def solve_sharded(
         # O(1) patch of task_shard — but never move servers between shards,
         # and the bounds ignore the evolving allocation
         foreign_val, foreign_srv = affinity.foreign_mins(shard_plan.server_shards)
-        fast_state = (
-            _FastMigrationState(tasks, objective, affinity, alloc.assignment)
-            if sparse and cfg.migration_rounds > 0
+        state = (
+            _MigrationState(tasks, objective, affinity, alloc.assignment)
+            if cfg.migration_rounds > 0
             else None
         )
         for rnd in range(cfg.migration_rounds):
             with tracer.span(
                 "solve.migrate", {"round": rnd} if tracer.enabled else None
             ):
-                round_fn = _migration_round_fast if sparse else _migration_round
-                accepted, obj, base_lat, plan_idx, alloc = round_fn(
+                accepted, obj, base_lat, plan_idx, alloc = _migration_round(
                     tasks, candsets, plan_idx, alloc, base_lat,
-                    obj, cluster, lm, objective, cfg, shard_plan, task_shard,
-                    inc, stages, affinity, foreign_val, foreign_srv, perf,
-                    fast_state,
+                    obj, cluster, lm, cfg, shard_plan, task_shard,
+                    inc, stages, foreign_val, foreign_srv, perf, state,
                 )
             migration_history.append(accepted)
             perf.migration_rounds += 1
@@ -414,46 +317,114 @@ def solve_sharded(
         )
 
 
-def _assemble(
+def _fan_out(
     tasks: Sequence[TaskSpec],
-    candsets: List[CandidateSet],
-    shard_results: Sequence[Optional[JointResult]],
+    candsets: Sequence[CandidateSet],
+    cluster: EdgeCluster,
+    lm: LatencyModel,
+    objective: Objective,
+    cfg: JointSolverConfig,
+    shard_plan: ShardPlan,
     shard_tasks: Sequence[Sequence[int]],
-    views: Sequence[ShardView],
-) -> Tuple[List[CandidateSet], List[int], List[Optional[int]]]:
-    """Stitch shard plans into global (candsets, plan_idx, assignment).
+    shards: Sequence[int],
+    seed: SeedLike,
+    parent_span,
+    perf: PerfCounters,
+) -> List[Optional[JointResult]]:
+    """One joint solve per shard in ``shards`` (ascending), against its view.
 
-    Shard plans are keyed by task name with shard-local server indices;
-    this maps servers back to global indices and locates each chosen
-    feature vector in the task's candidate set, appending it when the shard
-    solve's threshold refinement produced a plan outside the enumerated set.
+    The single shard fan-out behind :func:`solve_sharded` (every shard) and
+    :func:`resolve_dirty` (the dirty ones), so a shard re-solves exactly as a
+    fresh solve would solve it: same seed, same telemetry stream block
+    ``1 + s*(restarts+1)``, same inner config — for ``nested_shards > 1`` a
+    region of several servers re-shards its view into racks and runs this
+    coordinator one level down.  Returns one entry per
+    shard of the plan, ``None`` for shards not solved or without tasks; the
+    solved shards' counters merge into ``perf`` in shard order.
     """
-    out_sets = list(candsets)
-    plan_idx: List[int] = [0] * len(tasks)
-    assignment: List[Optional[int]] = [None] * len(tasks)
-    for s, res in enumerate(shard_results):
-        if res is None:
-            continue
-        for i in shard_tasks[s]:
-            name = tasks[i].name
-            assignment[i] = views[s].to_global(res.plan.assignment[name])
-            feats = res.plan.features[name]
-            flist = out_sets[i].features
-            # shard solves pick features straight out of the candidate set we
-            # handed them, so an identity scan almost always hits; equality
-            # (then append) only runs for refinement-produced plans
-            for j, f in enumerate(flist):
-                if f is feats:
-                    plan_idx[i] = j
-                    break
-            else:
-                try:
-                    plan_idx[i] = flist.index(feats)
-                except ValueError:
-                    cs = out_sets[i]
-                    out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
-                    plan_idx[i] = len(cs.features)
-    return out_sets, plan_idx, assignment
+    tracer = get_tracer()
+    # every shard's seed, derived upfront in shard order (a generator seed is
+    # drawn from the same way each time), so a shard's seed depends only on
+    # its index — not on execution order, nor on which shards this call
+    # solves; shard 0 keeps the base seed, so a 1-shard run reproduces the
+    # centralized descent exactly
+    seeds = [seed] + [
+        derive_seed(seed, "shard", s) for s in range(1, shard_plan.num_shards)
+    ]
+    stride = cfg.restarts + 1
+    # shard fan-out reuses the restart pool: when it is parallel, each shard
+    # solves its restarts serially (never nested pools)
+    workers = min(cfg.restart_workers, len(shards))
+    inner_cfg = replace(
+        cfg,
+        shards=1,
+        nested_shards=0,  # recursion is one level deep: racks never re-shard
+        restart_workers=1 if workers > 1 else cfg.restart_workers,
+    )
+
+    def _run(s: int) -> Optional[JointResult]:
+        ids = shard_tasks[s]
+        if not ids:
+            return None
+        view = ShardView(cluster, shard_plan.server_shards[s])
+        cfg_s = inner_cfg
+        if cfg.nested_shards > 1 and view.num_servers > 1:
+            cfg_s = replace(
+                inner_cfg, shards=min(cfg.nested_shards, view.num_servers)
+            )
+        solver = JointOptimizer(
+            view,
+            latency_model=lm,
+            objective=objective,
+            config=cfg_s,
+            stream_base=1 + s * stride,
+        )
+        with tracer.stream(1 + s * stride, parent=parent_span):
+            return solver.solve(
+                [tasks[i] for i in ids],
+                candidates=[candsets[i] for i in ids],
+                seed=seeds[s],
+            )
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_run, shards))
+    else:
+        solved = [_run(s) for s in shards]
+    results: List[Optional[JointResult]] = [None] * shard_plan.num_shards
+    for s, r in zip(shards, solved):
+        results[s] = r
+    # merge per-shard counters in shard order (order-independent of the
+    # pool's completion order); per-shard wall time stays in ShardStats
+    perf.merge(
+        PerfCounters.merged({s: r.perf for s, r in enumerate(results) if r is not None})
+    )
+    perf.shard_solves += sum(1 for r in results if r is not None)
+    return results
+
+
+def _shard_stats(
+    shard_plan: ShardPlan,
+    shard_tasks: Sequence[Sequence[int]],
+    results: Sequence[Optional[JointResult]],
+    shards: Sequence[int],
+) -> List[ShardStats]:
+    """:class:`ShardStats` of ``shards`` from their fan-out results."""
+    out = []
+    for s in shards:
+        st = ShardStats(
+            shard=s,
+            servers=shard_plan.server_shards[s],
+            num_tasks=len(shard_tasks[s]),
+        )
+        r = results[s]
+        if r is not None:
+            st.iterations = r.iterations
+            st.converged = r.converged
+            st.objective = r.plan.objective_value
+            st.solve_s = r.perf.solve_s
+        out.append(st)
+    return out
 
 
 class _PositionResolver:
@@ -463,9 +434,9 @@ class _PositionResolver:
     task, so thousands of :class:`CandidateSet` objects share a handful of
     ``features`` *list* objects.  Indexing each distinct list once (keyed by
     list identity) makes a full-plan stitch O(tasks + templates ×
-    candidates) instead of O(tasks × candidates).  Resolution order matches
-    the dense stitch exactly: first identity match, else first equality
-    match, else None (caller appends the refined feature row).
+    candidates) instead of O(tasks × candidates).  Resolution order: first
+    identity match, else first equality match, else None (caller appends
+    the refined feature row).
     """
 
     def __init__(self) -> None:
@@ -488,35 +459,43 @@ class _PositionResolver:
             return None
 
 
-def _assemble_fast(
+def _assemble(
     tasks: Sequence[TaskSpec],
     candsets: List[CandidateSet],
-    shard_results: Sequence[Optional[JointResult]],
+    shard_plan: ShardPlan,
     shard_tasks: Sequence[Sequence[int]],
-    views: Sequence[ShardView],
+    results: Sequence[Optional[JointResult]],
+    prior: Optional[JointPlan] = None,
 ) -> Tuple[List[CandidateSet], List[int], List[Optional[int]]]:
-    """O(tasks) stitch — same outputs as :func:`_assemble`.
+    """Stitch shard plans into global (candsets, plan_idx, assignment).
 
-    Replaces the per-task identity scan + ``list.index`` of the dense stitch
-    (O(tasks × candidates), the coordinator's second-largest cost at 16k+
-    tasks) with a :class:`_PositionResolver` shared across every task of a
-    template.  Identity-then-equality resolution order is preserved, so the
-    chosen indices — and any appended refinement features — are identical.
+    Shard ``s``'s tasks take their server and features from ``results[s]``
+    (shard-local server indices, mapped back to global) or, for a shard that
+    was not re-solved, from ``prior`` — a plan over the same tasks in global
+    indices (:func:`resolve_dirty`'s clean shards).  Each chosen feature
+    vector is located in the task's candidate set through one
+    :class:`_PositionResolver` — O(tasks) for template-shared sets — and
+    appended when a shard solve's threshold refinement produced a plan
+    outside the enumerated set.
     """
     out_sets = list(candsets)
     plan_idx: List[int] = [0] * len(tasks)
     assignment: List[Optional[int]] = [None] * len(tasks)
     positions = _PositionResolver()
-    for s, res in enumerate(shard_results):
-        if res is None:
-            continue
-        server_ids = views[s].server_ids
-        plan_assignment = res.plan.assignment
-        plan_features = res.plan.features
-        for i in shard_tasks[s]:
+    for s, ids in enumerate(shard_tasks):
+        res = results[s]
+        if res is not None:
+            plan, server_ids = res.plan, shard_plan.server_shards[s]
+        elif prior is not None:
+            plan, server_ids = prior, None
+        else:
+            continue  # a shard without tasks
+        plan_assignment = plan.assignment
+        plan_features = plan.features
+        for i in ids:
             name = tasks[i].name
-            local = plan_assignment[name]
-            assignment[i] = None if local is None else server_ids[local]
+            srv = plan_assignment[name]
+            assignment[i] = srv if server_ids is None or srv is None else server_ids[srv]
             feats = plan_features[name]
             j = positions.resolve(out_sets[i], feats)
             if j is None:
@@ -548,139 +527,12 @@ def _global_objective(
     return objective.evaluate(lat, tasks), lat
 
 
-def _migration_round(
-    tasks: Sequence[TaskSpec],
-    candsets: Sequence[CandidateSet],
-    plan_idx: List[int],
-    alloc: Allocation,
-    base_lat: np.ndarray,
-    obj: float,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    objective: Objective,
-    cfg: JointSolverConfig,
-    shard_plan: ShardPlan,
-    task_shard: List[int],
-    inc: IncrementalAllocator,
-    stages: SolutionStages,
-    affinity: AffinityIndex,
-    foreign_val: np.ndarray,
-    foreign_srv: np.ndarray,
-    counters: PerfCounters,
-    fast_state: Optional["_FastMigrationState"] = None,  # dense path ignores it
-) -> Tuple[int, float, np.ndarray, List[int], Allocation]:
-    """One round of cross-shard migration moves.
-
-    Two stages, mirroring the local search's screen-then-verify shape:
-
-    1. **Screen.**  Every task gets an optimistic lower bound on its latency
-       at its best *foreign* server (full share, no queueing) straight from
-       the :class:`AffinityIndex`'s precomputed per-(template, home shard)
-       table.  Tasks whose bound does not undercut their current latency by
-       the hysteresis margin are dropped; survivors are ranked by bound gain
-       and the top ``max(8, n // 64)`` proceed.
-    2. **Verify.**  Each surviving (task, foreign server) move is priced
-       exactly — incremental share re-solve of the two affected groups, plan
-       re-picked for the new placement, latencies re-evaluated only for
-       tasks in those groups — and accepted iff the *global* objective
-       improves by more than the hysteresis margin.
-
-    Accepted moves update the incumbent immediately (greedy, in ranked
-    order), re-homing the task to the target server's shard.  Deterministic:
-    ranking ties break by task index, and all floating point follows the
-    same incremental kernels as the centralized local search.
-    """
-    n = len(tasks)
-    hyst = cfg.migration_hysteresis
-
-    shard_of_server = {}
-    for sh, ids in enumerate(shard_plan.server_shards):
-        for s in ids:
-            shard_of_server[s] = sh
-
-    # -- screen --------------------------------------------------------------
-    ranked: List[Tuple[float, int, int]] = []  # (-gain, task, server)
-    for i in range(n):
-        home = task_shard[i]
-        tpl = affinity.template_of[i]
-        best_bound = float(foreign_val[tpl, home])
-        best_s = int(foreign_srv[tpl, home])
-        if best_s < 0:
-            continue
-        margin = hyst * max(abs(base_lat[i]), 1e-12)
-        if best_bound < base_lat[i] - margin:
-            ranked.append((best_bound - base_lat[i], i, best_s))
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    budget = max(8, n // 64)
-    trials = ranked[:budget]
-
-    # -- verify --------------------------------------------------------------
-    accepted = 0
-    assignment = list(alloc.assignment)
-    for _, i, target in trials:
-        current = assignment[i]
-        if current == target:
-            continue
-        trial_assign = list(assignment)
-        trial_assign[i] = target
-        prov = inc.update(alloc, plan_idx, trial_assign, (i,), counters)
-        device = cluster.by_name(tasks[i].device_name)
-        server = cluster.servers[target]
-        link = cluster.link(tasks[i].device_name, server.name)
-        rate = tasks[i].arrival_rate if cfg.include_queueing else None
-        lat_vec = candsets[i].latencies(
-            device, lm, server=server, link=link,
-            compute_share=float(prov.compute_shares[i]),
-            bandwidth_share=float(prov.bandwidth_shares[i]),
-            arrival_rate=rate,
-            risk=cfg.risk,
-        )
-        counters.candidate_evals += 1
-        j = int(np.argmin(lat_vec))
-        if not np.isfinite(lat_vec[j]):
-            continue
-        trial_idx = list(plan_idx)
-        trial_idx[i] = j
-        if j == plan_idx[i]:
-            trial_alloc = prov
-        else:
-            trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-        # task i plus the members of the servers it leaves and joins: a
-        # locally placed task shares no group, so its latency cannot change
-        affected = [
-            t
-            for t, a in enumerate(assignment)
-            if t == i or (a is not None and (a == current or a == target))
-        ]
-        trial_lat = base_lat.copy()
-        trial_lat[affected] = solution_latency_task(
-            affected, tasks, candsets, trial_idx, trial_alloc, cluster, lm,
-            include_queueing=cfg.include_queueing, overload="penalty",
-            risk=cfg.risk, stages=stages,
-        )
-        counters.latency_evals += len(affected)
-        trial_obj = objective.evaluate(trial_lat, tasks)
-        if trial_obj < obj - hyst * max(abs(obj), 1e-12):
-            obj = trial_obj
-            plan_idx = trial_idx
-            alloc = trial_alloc
-            base_lat = trial_lat
-            assignment[i] = target
-            task_shard[i] = shard_of_server[target]
-            accepted += 1
-    return accepted, obj, base_lat, plan_idx, alloc
-
-
-class _FastMigrationState:
-    """Per-solve accelerators for the sparse migration rounds.
-
-    Three things the dense round recomputes O(tasks)-wise per trial, hoisted
-    or maintained incrementally instead — all bit-identical:
+class _MigrationState:
+    """Per-solve state of the migration rounds, kept incrementally.
 
     - the objective, bound once to the task list
       (:meth:`~repro.core.objectives.Objective.evaluator`), so every
-      evaluated objective is the same float without the per-call array
-      rebuilds;
+      evaluated objective is the same float without per-call array rebuilds;
     - the server → member-tasks inverse of the assignment (ascending lists,
       exactly what an index scan yields), moved under each trial and moved
       back on rejection;
@@ -710,7 +562,7 @@ class _FastMigrationState:
         insort(self.members.setdefault(dst, []), i)
 
 
-def _migration_round_fast(
+def _migration_round(
     tasks: Sequence[TaskSpec],
     candsets: Sequence[CandidateSet],
     plan_idx: List[int],
@@ -719,27 +571,38 @@ def _migration_round_fast(
     obj: float,
     cluster: EdgeCluster,
     lm: LatencyModel,
-    objective: Objective,
     cfg: JointSolverConfig,
     shard_plan: ShardPlan,
     task_shard: List[int],
     inc: IncrementalAllocator,
     stages: SolutionStages,
-    affinity: AffinityIndex,
     foreign_val: np.ndarray,
     foreign_srv: np.ndarray,
     counters: PerfCounters,
-    state: "_FastMigrationState",
+    state: _MigrationState,
 ) -> Tuple[int, float, np.ndarray, List[int], Allocation]:
-    """Sparse-index migration round — decisions identical to
-    :func:`_migration_round`, without its O(tasks) Python loops.
+    """One round of cross-shard migration moves.
 
-    The screen is one vectorized pass over the (template, home) foreign
-    table (ranking ties break by task index via a stable sort over an
-    ascending candidate list, matching the dense tuple sort).  Verification
-    prices the same moves with the same incremental kernels, but member
-    scans, affected sets, and objective arrays come from
-    :class:`_FastMigrationState` instead of per-trial O(tasks) rebuilds.
+    Two stages, mirroring the local search's screen-then-verify shape:
+
+    1. **Screen.**  Every task gets an optimistic lower bound on its latency
+       at its best *foreign* server (full share, no queueing) straight from
+       the :class:`AffinityIndex`'s per-(template, home shard) table, in one
+       vectorized pass.  Tasks whose bound does not undercut their current
+       latency by the hysteresis margin are dropped; survivors are ranked by
+       bound gain (ties by task index, via a stable sort) and the top
+       ``max(8, n // 64)`` proceed.
+    2. **Verify.**  Each surviving (task, foreign server) move is priced
+       exactly — incremental share re-solve of the two affected groups, plan
+       re-picked for the new placement, latencies re-evaluated only for
+       tasks in those groups (member lists from ``state``) — and accepted
+       iff the *global* objective improves by more than the hysteresis
+       margin.
+
+    Accepted moves update the incumbent immediately (greedy, in ranked
+    order), re-homing the task to the target server's shard.  All floating
+    point follows the same incremental kernels as the centralized local
+    search.
     """
     n = len(tasks)
     hyst = cfg.migration_hysteresis
@@ -797,10 +660,9 @@ def _migration_round_fast(
                 prov, trial_idx, trial_assign, (i,), counters,
                 members_by_server=state.members,
             )
-        # the moved task is already in target's member list, so current's
-        # remainder plus target's members is the dense O(tasks) scan's set;
-        # locally placed tasks share no group with anyone, so a move out of
-        # local re-prices no one else
+        # task i plus the members of the servers it leaves and joins (it is
+        # already in target's list); locally placed tasks share no group with
+        # anyone, so a move out of local re-prices no one else
         stay = state.members.get(current, ()) if current is not None else ()
         affected = [*stay, *state.members[target]]
         trial_lat = base_lat.copy()
@@ -849,10 +711,10 @@ def resolve_dirty(
     - ``prior`` must come from a solve over the same ``tasks`` sequence
       (same order) on this cluster; the server partition and task homing are
       carried over unchanged.
-    - Dirty shard ``s`` re-solves with the same derived seed a full solve
-      would give it (``derive_seed(seed, "shard", s)``, base seed for shard
-      0), so a re-solve with every shard dirty reproduces the fan-out of a
-      fresh solve.
+    - Dirty shards go through the same fan-out as a full solve
+      (:func:`_fan_out`): same derived seed, same inner config, racks
+      included under ``nested_shards``.  So a re-solve with every shard
+      dirty reproduces the fan-out of a fresh solve, nested or flat.
     - Cross-shard migration is **not** re-run: a delta re-plan deliberately
       leaves the homing alone.  When drift is global (every shard flagged,
       or servers changed), escalate to a full ``solve_sharded`` — the online
@@ -888,108 +750,17 @@ def resolve_dirty(
         if tracer.enabled
         else None,
     ) as root:
-        if candidates is None:
-            stats_before = candidate_cache_stats()
-            candsets = [
-                build_candidates(
-                    t,
-                    threshold_grid=cfg.threshold_grid,
-                    max_cuts=cfg.max_cuts,
-                    cache=cfg.candidate_cache,
-                )
-                for t in tasks
-            ]
-            stats_after = candidate_cache_stats()
-            perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-            perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
-
+        candsets = prepare_candidates(tasks, cfg, candidates, perf)
         shard_tasks = shard_plan.tasks_by_shard()
-        views = {s: ShardView(cluster, shard_plan.server_shards[s]) for s in dirty}
-        stride = cfg.restarts + 1
-        workers = min(cfg.restart_workers, len(dirty))
-        inner_cfg = replace(
-            cfg,
-            shards=1,
-            nested_shards=0,
-            restart_workers=1 if workers > 1 else cfg.restart_workers,
+        results = _fan_out(
+            tasks, candsets, cluster, lm, objective, cfg, shard_plan,
+            shard_tasks, dirty, seed, root.span_id, perf,
         )
-
-        def _run(s: int) -> Optional[JointResult]:
-            ids = shard_tasks[s]
-            if not ids:
-                return None
-            shard_seed = seed if s == 0 else derive_seed(seed, "shard", s)
-            solver = JointOptimizer(
-                views[s],
-                latency_model=lm,
-                objective=objective,
-                config=inner_cfg,
-                stream_base=1 + s * stride,
-            )
-            with tracer.stream(1 + s * stride, parent=root.span_id):
-                return solver.solve(
-                    [tasks[i] for i in ids],
-                    candidates=[candsets[i] for i in ids],
-                    seed=shard_seed,
-                )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run, dirty))
-        else:
-            results = [_run(s) for s in dirty]
-
-        perf.merge(
-            PerfCounters.merged(
-                {s: r.perf for s, r in zip(dirty, results) if r is not None}
-            )
+        # clean shards by identity from the prior plan, dirty shards from the
+        # fresh shard results
+        out_sets, plan_idx, assignment = _assemble(
+            tasks, candsets, shard_plan, shard_tasks, results, prior.plan
         )
-        perf.shard_solves += sum(1 for r in results if r is not None)
-
-        # stitch: clean shards by identity from the prior plan, dirty shards
-        # from the fresh shard results
-        n = len(tasks)
-        out_sets = list(candsets)
-        plan_idx: List[int] = [0] * n
-        assignment: List[Optional[int]] = [None] * n
-        dirty_set = set(dirty)
-
-        positions = _PositionResolver()
-
-        def _place(i: int, local_or_global, feats, server_ids=None) -> None:
-            if server_ids is None:
-                assignment[i] = local_or_global
-            else:
-                assignment[i] = (
-                    None if local_or_global is None else server_ids[local_or_global]
-                )
-            j = positions.resolve(out_sets[i], feats)
-            if j is None:
-                cs = out_sets[i]
-                out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
-                j = len(cs.features)
-            plan_idx[i] = j
-
-        for i, t in enumerate(tasks):
-            if shard_plan.task_shard[i] in dirty_set:
-                continue
-            _place(i, prior.plan.assignment[t.name], prior.plan.features[t.name])
-        for s, res in zip(dirty, results):
-            if res is None:
-                continue
-            for i in shard_tasks[s]:
-                name = tasks[i].name
-                _place(
-                    i,
-                    res.plan.assignment[name],
-                    res.plan.features[name],
-                    views[s].server_ids,
-                )
-
         inc = IncrementalAllocator(tasks, out_sets, cluster, lm, objective)
         alloc = inc.solve(plan_idx, assignment, perf)
         jp = package_plan(
@@ -999,35 +770,23 @@ def resolve_dirty(
         )
 
         stats_by_shard = {st.shard: st for st in prior.shard_stats}
-        for s, res in zip(dirty, results):
-            st = ShardStats(
-                shard=s,
-                servers=shard_plan.server_shards[s],
-                num_tasks=len(shard_tasks[s]),
-            )
-            if res is not None:
-                st.iterations = res.iterations
-                st.converged = res.converged
-                st.objective = res.plan.objective_value
-                st.solve_s = res.perf.solve_s
-            stats_by_shard[s] = st
+        for st in _shard_stats(shard_plan, shard_tasks, results, dirty):
+            stats_by_shard[st.shard] = st
         shard_stats = [stats_by_shard[s] for s in sorted(stats_by_shard)]
 
         candidate_counts = dict(prior.candidate_counts)
         for res in results:
             if res is not None:
                 candidate_counts.update(res.candidate_counts)
+        solved = [r for r in results if r is not None]
 
         elapsed = time.perf_counter() - t_start
         perf.resolve_dirty_s += elapsed
         perf.solve_s = elapsed
         return ShardedResult(
             plan=jp,
-            iterations=max(
-                (r.iterations for r in results if r is not None), default=0
-            ),
-            converged=prior.converged
-            and all(r.converged for r in results if r is not None),
+            iterations=max((r.iterations for r in solved), default=0),
+            converged=prior.converged and all(r.converged for r in solved),
             history=[jp.objective_value],
             candidate_counts=candidate_counts,
             perf=perf,

@@ -117,6 +117,42 @@ def package_plan(
     )
 
 
+def prepare_candidates(
+    tasks: Sequence[TaskSpec],
+    config: "JointSolverConfig",
+    candidates: Optional[Sequence[CandidateSet]],
+    counters: PerfCounters,
+) -> List[CandidateSet]:
+    """The per-task candidate sets a solve runs over.
+
+    Precomputed ``candidates`` are checked against ``tasks`` and used as
+    given; otherwise every task's set is built per ``config`` (under a
+    ``solve.candidates`` span) and the candidate-cache hits and misses the
+    build caused land in ``counters``.  Shared by the centralized solver,
+    :func:`~repro.core.coordinator.solve_sharded` and
+    :func:`~repro.core.coordinator.resolve_dirty`.
+    """
+    if candidates is not None:
+        if len(candidates) != len(tasks):
+            raise ConfigError("candidates/tasks length mismatch")
+        return list(candidates)
+    with get_tracer().span("solve.candidates"):
+        before = candidate_cache_stats()
+        candsets = [
+            build_candidates(
+                t,
+                threshold_grid=config.threshold_grid,
+                max_cuts=config.max_cuts,
+                cache=config.candidate_cache,
+            )
+            for t in tasks
+        ]
+        after = candidate_cache_stats()
+    counters.candidate_cache_hits += after.hits - before.hits
+    counters.candidate_cache_misses += after.misses - before.misses
+    return candsets
+
+
 @dataclass(frozen=True)
 class JointSolverConfig:
     """Tunables of the BCD joint optimizer.
@@ -127,12 +163,12 @@ class JointSolverConfig:
     to ``migration_rounds`` rounds of cross-shard migration re-home boundary
     tasks whose relative latency gain beats ``migration_hysteresis``.
 
-    ``affinity`` picks the coordinator's index build: ``"sparse"`` (default)
-    answers the same homing/migration screens from top-k shortlists at
-    sub-O(tasks × servers) cost; ``"dense"`` keeps the original full sweep
-    as a bit-identical fallback.  ``nested_shards > 1`` makes each shard's
-    solve re-shard its own server view (two-level regions → racks), running
-    the same migration machinery one level down.
+    ``nested_shards > 1`` makes the solve two-level: each outer shard (a
+    region) with more than one server re-partitions its own server view
+    into ``min(nested_shards, region servers)`` racks with
+    :func:`~repro.core.sharding.partition_servers` (same ``shard_by``) and
+    solves them through the same coordinator — homing, rack fan-out and
+    migration between the region's racks.  Racks never re-shard.
 
     ``restart_workers`` is the width of the solver's *one* thread pool.  With
     ``shards == 1`` it fans out restarts; with ``shards > 1`` the same pool
@@ -157,7 +193,6 @@ class JointSolverConfig:
     shard_by: str = "contiguous"  # partition strategy (see core.sharding)
     migration_rounds: int = 3  # cross-shard re-homing rounds after shard solves
     migration_hysteresis: float = 1e-3  # relative gain a migration must beat
-    affinity: str = "sparse"  # index build mode ("sparse" | "dense" fallback)
     nested_shards: int = 0  # >1: each shard re-shards its view (regions->racks)
     # chance-constrained mode: buffer every latency the solver sees to
     # μ + κ(ε)·σ (see repro.core.risk).  None (or buffer="none") keeps the
@@ -165,7 +200,7 @@ class JointSolverConfig:
     risk: Optional[RiskConfig] = None
 
     def __post_init__(self) -> None:
-        from repro.core.sharding import AFFINITY_MODES, SHARD_STRATEGIES
+        from repro.core.sharding import SHARD_STRATEGIES
 
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
@@ -187,10 +222,6 @@ class JointSolverConfig:
             raise ConfigError("migration_rounds must be >= 0")
         if self.migration_hysteresis < 0:
             raise ConfigError("migration_hysteresis must be >= 0")
-        if self.affinity not in AFFINITY_MODES:
-            raise ConfigError(
-                f"unknown affinity {self.affinity!r}; available {AFFINITY_MODES}"
-            )
         if self.nested_shards < 0:
             raise ConfigError("nested_shards must be >= 0")
 
@@ -319,25 +350,7 @@ class JointOptimizer:
             self.cluster.by_name(t.device_name)  # validates membership
 
         perf = PerfCounters()
-        if candidates is None:
-            with tracer.span("solve.candidates"):
-                stats_before = candidate_cache_stats()
-                candsets = [
-                    build_candidates(
-                        t,
-                        threshold_grid=self.config.threshold_grid,
-                        max_cuts=self.config.max_cuts,
-                        cache=self.config.candidate_cache,
-                    )
-                    for t in tasks
-                ]
-                stats_after = candidate_cache_stats()
-                perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-                perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
+        candsets = prepare_candidates(tasks, self.config, candidates, perf)
 
         with tracer.span("solve.context"):
             ctx = _SolveContext(

@@ -48,10 +48,6 @@ from repro.network.link import Link
 #: Server-partition strategies understood by :func:`partition_servers`.
 SHARD_STRATEGIES = ("contiguous", "interleave")
 
-#: Affinity-index build modes understood by :class:`AffinityIndex` (and the
-#: ``affinity`` knob of :class:`~repro.core.joint.JointSolverConfig`).
-AFFINITY_MODES = ("sparse", "dense")
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -110,16 +106,9 @@ class ShardPlan:
     def num_servers(self) -> int:
         return sum(len(s) for s in self.server_shards)
 
-    def tasks_of(self, shard: int) -> List[int]:
-        """Task indices homed to ``shard``, in global task order."""
-        return [i for i, s in enumerate(self.task_shard) if s == shard]
-
     def tasks_by_shard(self) -> List[List[int]]:
-        """Per shard, the task indices homed to it — one O(tasks) pass.
-
-        Equivalent to ``[plan.tasks_of(s) for s in range(k)]`` (each inner
-        list ascending), without the O(tasks × shards) repeated scans.
-        """
+        """Per shard, the task indices homed to it (ascending) — one O(tasks)
+        pass."""
         out: List[List[int]] = [[] for _ in range(self.num_shards)]
         for i, s in enumerate(self.task_shard):
             out[s].append(i)
@@ -184,7 +173,7 @@ class ShardView:
 
         A device row over *all* parent servers fingerprints a superset of the
         view's columns, so equal parent rows imply equal view rows — the
-        sparse affinity index's dedup stays sound when built over a view
+        affinity index's dedup stays sound when built over a view
         (nested sharding recurses through here).
         """
         return getattr(self.parent, "topology", None)
@@ -251,38 +240,6 @@ def partition_servers(
     return tuple(out)
 
 
-def partition_servers_nested(
-    num_servers: int,
-    regions: int,
-    racks_per_region: int,
-    shard_by: str = "contiguous",
-) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Two-level deterministic partition: regions, then racks inside each.
-
-    Splits ``0..num_servers-1`` into ``regions`` top-level groups with
-    :func:`partition_servers`, then splits each region's servers into up to
-    ``racks_per_region`` racks with the same strategy applied to the
-    region's *local* index space (so interleaving balances inside the
-    region, not globally).  Regions smaller than ``racks_per_region`` get
-    one rack per server — racks are never empty.
-
-    The flattened racks are exactly the flattened regions, which are exactly
-    ``0..num_servers-1``: each level is a true partition.  This is the
-    server layout the coordinator's nested mode
-    (``JointSolverConfig.nested_shards``) solves over — the outer
-    ``solve_sharded`` owns the regions, each region's shard solve re-shards
-    its view into racks.
-    """
-    if racks_per_region < 1:
-        raise ConfigError(f"racks_per_region must be >= 1, got {racks_per_region}")
-    out: List[Tuple[Tuple[int, ...], ...]] = []
-    for region in partition_servers(num_servers, regions, shard_by):
-        racks = min(racks_per_region, len(region))
-        local = partition_servers(len(region), racks, shard_by)
-        out.append(tuple(tuple(region[j] for j in rack) for rack in local))
-    return tuple(out)
-
-
 class AffinityIndex:
     """Template-deduplicated optimistic latency bounds ``B[template, server]``.
 
@@ -296,21 +253,15 @@ class AffinityIndex:
     templates and the O(templates × servers) sweep matrix is computed once;
     every later screen is an array lookup.
 
-    ``mode`` selects how the index is built and queried:
-
-    - ``"dense"`` — the original sweep: per-task dedup keys carry the full
-      per-server link-id row (O(tasks × servers) key build) and
-      :meth:`foreign_mins` reduces a masked copy of the bound matrix per
-      home shard.
-    - ``"sparse"`` — identical *answers* at sub-O(tasks × servers) cost:
-      dedup keys use the topology's O(1) row fingerprint
-      (:meth:`~repro.network.topology.StarTopology.row_key`) when one is
-      available, a per-template ``(bound, server)``-sorted top-k shortlist is
-      cut with ``np.argpartition`` (widened on boundary ties so order is
-      exact), and :meth:`foreign_mins` walks the shortlist instead of
-      re-reducing the matrix.  Results are bit-identical to dense — both
-      dedups are sound (tasks sharing a key share a bound row) and every
-      tie breaks by the same (value, index) order.
+    Dedup keys use the topology's O(1) row fingerprint
+    (:meth:`~repro.network.topology.StarTopology.row_key`) when one is
+    available and the per-server link-id row otherwise; both are sound
+    (tasks sharing a key share a bound row).  Screens read a per-template
+    ``(bound, server)``-sorted top-k shortlist cut with ``np.argpartition``
+    (widened on boundary ties so order is exact), so :meth:`foreign_mins`
+    walks the shortlist instead of re-reducing the matrix, and every tie
+    breaks by (value, index).  The full-sweep reference this is checked
+    against lives in the test suite (``tests/oracles/dense_affinity.py``).
 
     The compressed template→tasks mapping (:attr:`template_tasks`) and the
     per-partition :meth:`foreign_mins` / :meth:`shard_orders` caches let one
@@ -324,22 +275,15 @@ class AffinityIndex:
         candsets: Sequence[CandidateSet],
         cluster: EdgeCluster,
         latency_model: Optional[LatencyModel] = None,
-        mode: str = "dense",
     ) -> None:
         if len(candsets) != len(tasks):
             raise ConfigError("tasks/candsets length mismatch")
-        if mode not in AFFINITY_MODES:
-            raise ConfigError(
-                f"unknown affinity mode {mode!r}; available {AFFINITY_MODES}"
-            )
-        self.mode = mode
         lm = latency_model or LatencyModel()
         m = cluster.num_servers
         keys: Dict[Tuple, int] = {}
         self.template_of: List[int] = []
         reps: List[int] = []
-        topo = getattr(cluster, "topology", None) if mode == "sparse" else None
-        row_key = getattr(topo, "row_key", None)
+        row_key = getattr(getattr(cluster, "topology", None), "row_key", None)
         for i, t in enumerate(tasks):
             device = cluster.by_name(t.device_name)
             if row_key is not None:
@@ -431,10 +375,9 @@ class AffinityIndex:
     def shard_orders(self, server_shards: Sequence[Sequence[int]]) -> np.ndarray:
         """Per template, the shard preference order of :func:`home_tasks`.
 
-        Row ``t`` is ``range(k)`` sorted by ``(shard_min[t, j], j)`` — the
-        stable argsort ties exactly like the per-task Python sort the dense
-        homing path runs, but once per template instead of once per task.
-        Cached per partition.
+        Row ``t`` is ``range(k)`` sorted by ``(shard_min[t, j], j)`` (the
+        stable argsort breaks ties toward the lower shard index).  Cached per
+        partition.
         """
         pkey = tuple(tuple(s) for s in server_shards)
         cached = self._orders_cache.get(pkey)
@@ -450,42 +393,21 @@ class AffinityIndex:
         """Per (template, home shard): best bound over servers *outside* the
         shard and the server achieving it (migration's screen).
 
-        Built at most once per partition (cached); the sparse mode reads the
-        answer off the top-k shortlist — the first shortlist entry outside
-        the home shard, which exists within the first ``max_shard + 1``
-        entries because a shard holds at most ``max_shard`` servers.
+        Built at most once per partition (cached) and read off the top-k
+        shortlist: the first shortlist entry outside the home shard, which
+        exists within the first ``max_shard + 1`` entries because a shard
+        holds at most ``max_shard`` servers.  Servers never change shards, so
+        the table stays valid for every migration round and re-solve over
+        the same partition.
         """
         pkey = tuple(tuple(s) for s in server_shards)
         cached = self._foreign_cache.get(pkey)
-        if cached is not None:
-            return cached
-        if self.mode == "sparse":
-            out = self._foreign_mins_sparse(pkey)
-        else:
-            out = self._foreign_mins_dense(server_shards)
-        self._foreign_cache[pkey] = out
-        return out
+        if cached is None:
+            cached = self._foreign_mins(pkey)
+            self._foreign_cache[pkey] = cached
+        return cached
 
-    def _foreign_mins_dense(
-        self, server_shards: Sequence[Sequence[int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        m = self.bounds.shape[1]
-        vals = []
-        srvs = []
-        for shard in server_shards:
-            mask = np.ones(m, dtype=bool)
-            mask[list(shard)] = False
-            foreign = np.flatnonzero(mask)
-            if foreign.size == 0:
-                vals.append(np.full(self.bounds.shape[0], np.inf))
-                srvs.append(np.full(self.bounds.shape[0], -1))
-                continue
-            sub = self.bounds[:, foreign]
-            vals.append(sub.min(axis=1))
-            srvs.append(foreign[sub.argmin(axis=1)])
-        return np.stack(vals, axis=1), np.stack(srvs, axis=1)
-
-    def _foreign_mins_sparse(
+    def _foreign_mins(
         self, server_shards: Tuple[Tuple[int, ...], ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
         num_templates, m = self.bounds.shape
@@ -537,11 +459,9 @@ def home_tasks(
     cap) takes the task.  Deterministic: tasks are visited in index order
     and ties break toward the lower shard index.
 
-    A sparse index homes through per-template preference orders with a
-    monotone full-shard cursor instead of a per-task O(shards log shards)
-    sort: caps are static and loads only grow, so a shard observed full
-    stays full and the cursor never backtracks.  The chosen shard per task
-    is identical to the dense walk's.
+    Tasks of one template share a cached preference order
+    (:meth:`AffinityIndex.shard_orders`), so homing costs O(tasks +
+    templates × shards) rather than a per-task sort.
     """
     if len(candsets) != len(tasks):
         raise ConfigError("tasks/candsets length mismatch")
@@ -552,34 +472,24 @@ def home_tasks(
     loads = [0] * k
     index = affinity or AffinityIndex(tasks, candsets, cluster, latency_model)
 
+    # per-template preference orders with a monotone full-shard cursor: caps
+    # are static and loads only grow, so a shard observed full stays full
+    orders = index.shard_orders(server_shards)
+    template_of = index.template_of
+    cursor = [0] * orders.shape[0]
     out: List[int] = []
-    if index.mode == "sparse":
-        orders = index.shard_orders(server_shards)
-        template_of = index.template_of
-        cursor = [0] * orders.shape[0]
-        for i in range(n):
-            tpl = template_of[i]
-            order = orders[tpl]
-            c = cursor[tpl]
-            # skip shards that filled since this template last homed; every
-            # skip is permanent, so total cursor motion is O(templates × k)
-            while c < k and loads[order[c]] >= caps[order[c]]:
-                c += 1
-            cursor[tpl] = c
-            if c < k:
-                chosen = int(order[c])
-            else:  # all caps hit (rounding): least relatively loaded
-                chosen = min(range(k), key=lambda j: (loads[j] / caps[j], j))
-            loads[chosen] += 1
-            out.append(chosen)
-        return tuple(out)
-
-    shard_scores, _ = index.shard_mins(server_shards)
     for i in range(n):
-        scores = shard_scores[index.template_of[i]]
-        order = sorted(range(k), key=lambda j: (scores[j], j))
-        chosen = next((j for j in order if loads[j] < caps[j]), None)
-        if chosen is None:  # all caps hit (rounding): least relatively loaded
+        tpl = template_of[i]
+        order = orders[tpl]
+        c = cursor[tpl]
+        # skip shards that filled since this template last homed; every skip
+        # is permanent, so total cursor motion is O(templates × k)
+        while c < k and loads[order[c]] >= caps[order[c]]:
+            c += 1
+        cursor[tpl] = c
+        if c < k:
+            chosen = int(order[c])
+        else:  # all caps hit (rounding): least relatively loaded
             chosen = min(range(k), key=lambda j: (loads[j] / caps[j], j))
         loads[chosen] += 1
         out.append(chosen)

@@ -54,7 +54,7 @@ class StarTopology:
             ]
             raise ConfigError(f"missing links for pairs: {missing[:5]}...")
         # per-server link row shared by every device (uniform topologies);
-        # set by :meth:`uniform`, consumed by the sparse affinity index
+        # set by :meth:`uniform`, consumed by the affinity index
         self._uniform_row: Optional[Tuple[Link, ...]] = None
         self._row_cache: Dict[str, Tuple[int, ...]] = {}
 

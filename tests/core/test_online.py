@@ -307,3 +307,56 @@ class TestIncrementalReplan:
         )
         assert fired
         assert not c.events[-1].reason.startswith("incremental")
+
+    def test_nested_region_resolve_matches_fresh_solve(self):
+        # two regions of four servers, each solved over two racks: the
+        # incremental re-plan of one drifted region must equal that region's
+        # share of a fresh solve (same homing, seed and racks)
+        from repro.core.candidates import build_candidates
+        from repro.core.coordinator import solve_sharded
+        from repro.core.joint import JointSolverConfig
+        from repro.workloads.scenarios import build_scenario
+
+        cluster, tasks = build_scenario(
+            "smart_city", num_tasks=24, num_servers=8, seed=2
+        )
+        cands = [build_candidates(t) for t in tasks]
+        cfg = JointSolverConfig(shards=2, nested_shards=2, migration_rounds=0)
+        homing = solve_sharded(
+            tasks, cluster, config=cfg, candidates=cands, seed=0
+        ).shard_plan
+        c = OnlineController(
+            cluster, tasks, candidates=cands, solver_config=cfg,
+            config=ControllerConfig(replan_threshold=0.3, min_replan_interval_s=1.0),
+            drift=DRIFT, shard_plan=homing,
+        )
+        region = [t.name for i, t in enumerate(tasks) if homing.task_shard[i] == 1]
+        stable = [0.020, 0.0202, 0.0198, 0.0201, 0.0199, 0.020]
+        for i, v in enumerate(stable * 2):
+            c.observe(EnvironmentSample(
+                time_s=float(i), service_times_s={t.name: v for t in tasks},
+            ))
+        for i, v in enumerate([0.050, 0.0498, 0.0502, 0.0501, 0.0499, 0.050]):
+            c.observe(EnvironmentSample(
+                time_s=12.0 + i,
+                service_times_s={
+                    t.name: (v if t.name in region else 0.020) for t in tasks
+                },
+            ))
+            if c.drifted_shards:
+                break
+        assert c.drifted_shards == (1,)
+        rates = {t.name: 1.5 * t.arrival_rate for t in tasks if t.name in region}
+        assert c.observe(EnvironmentSample(time_s=40.0, arrival_rates=rates))
+        assert c.events[-1].reason.startswith("incremental re-solve of shards [1]")
+
+        fresh = solve_sharded(
+            c.current_tasks(), c.current_cluster(), config=cfg,
+            candidates=cands, seed=0,
+        )
+        assert fresh.shard_plan.task_shard == homing.task_shard
+        for name in region:
+            assert c.plan.assignment[name] == fresh.plan.assignment[name]
+            assert c.plan.features[name] == fresh.plan.features[name]
+            assert c.plan.compute_shares[name] == fresh.plan.compute_shares[name]
+            assert c.plan.latencies[name] == fresh.plan.latencies[name]

@@ -48,8 +48,7 @@ class TestShardPlan:
         plan = ShardPlan(((0, 1), (2,)), (0, 1, 0, 1))
         assert plan.num_shards == 2
         assert plan.num_servers == 3
-        assert plan.tasks_of(0) == [0, 2]
-        assert plan.tasks_of(1) == [1, 3]
+        assert plan.tasks_by_shard() == [[0, 2], [1, 3]]
         assert plan.shard_of_server(2) == 1
 
     def test_with_task_shard(self):

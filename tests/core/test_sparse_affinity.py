@@ -1,13 +1,14 @@
-"""Sparse affinity index ≡ dense reference, nested sharding, resolve_dirty.
+"""Affinity index ≡ dense reference, nested sharding, resolve_dirty.
 
-The sparse mode's fast paths (top-k shortlists, template compression,
+The index's fast paths (top-k shortlists, template compression,
 shortlist-walk foreign mins, cursor homing) promise *bit-identical*
-decisions to the dense reference.  The scenarios here are deliberately
-non-deduplicating — per-device heterogeneous access links (so
-``StarTopology.row_key`` falls back to per-device fingerprints) and
-``cache=False`` candidate pipelines (so no two tasks share a features
-list) — to exercise the index without the template merging that scenario
-presets enjoy.
+decisions to the dense reference in ``tests/oracles/dense_affinity.py``.
+The fixed instance here is deliberately non-deduplicating — per-device
+heterogeneous access links (so ``StarTopology.row_key`` falls back to
+per-device fingerprints) and ``cache=False`` candidate pipelines (so no two
+tasks share a features list) — to exercise the index without the template
+merging that scenario presets enjoy; ``tests/property/test_affinity_oracle.py``
+draws many more such instances.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.network.link import Link
 from repro.network.topology import StarTopology
 from repro.units import mbps
 from repro.workloads.scenarios import build_scenario
+from tests.oracles import dense_affinity as dense
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +77,13 @@ class TestSparseDenseEquivalence:
 
     def test_no_dedup_one_template_per_task(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
+        sp = AffinityIndex(tasks, cands, cluster)
         assert sp.bounds.shape[0] == len(tasks)
 
     def test_bounds_identical(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
+        sp = AffinityIndex(tasks, cands, cluster)
+        de = dense.DenseAffinityIndex(tasks, cands, cluster)
         for i in range(len(tasks)):
             np.testing.assert_array_equal(
                 sp.bounds[sp.template_of[i]], de.bounds[de.template_of[i]]
@@ -90,8 +92,8 @@ class TestSparseDenseEquivalence:
     @pytest.mark.parametrize("shards", PARTITIONS)
     def test_foreign_mins_identical(self, hetero_instance, shards):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
+        sp = AffinityIndex(tasks, cands, cluster)
+        de = dense.DenseAffinityIndex(tasks, cands, cluster)
         fv_s, fs_s = sp.foreign_mins(shards)
         fv_d, fs_d = de.foreign_mins(shards)
         for i in range(len(tasks)):
@@ -105,21 +107,19 @@ class TestSparseDenseEquivalence:
     @pytest.mark.parametrize("shards", PARTITIONS)
     def test_homing_identical(self, hetero_instance, shards):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
+        sp = AffinityIndex(tasks, cands, cluster)
+        de = dense.DenseAffinityIndex(tasks, cands, cluster)
         assert home_tasks(
             tasks, cands, cluster, shards, affinity=sp
-        ) == home_tasks(tasks, cands, cluster, shards, affinity=de)
+        ) == dense.home_tasks(tasks, cands, cluster, shards, affinity=de)
 
     def test_solve_identical(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
-        results = {}
-        for mode in ("sparse", "dense"):
-            cfg = JointSolverConfig(shards=2, migration_rounds=2, affinity=mode)
-            results[mode] = solve_sharded(
-                tasks, cluster, config=cfg, candidates=cands, seed=5
-            )
-        sp, de = results["sparse"], results["dense"]
+        cfg = JointSolverConfig(shards=2, migration_rounds=2)
+        sp = solve_sharded(tasks, cluster, config=cfg, candidates=cands, seed=5)
+        de = dense.solve_sharded_dense(
+            tasks, cluster, config=cfg, candidates=cands, seed=5
+        )
         assert sp.plan.assignment == de.plan.assignment
         assert sp.plan.features == de.plan.features
         assert sp.plan.latencies == de.plan.latencies
@@ -127,13 +127,6 @@ class TestSparseDenseEquivalence:
         assert sp.plan.bandwidth_shares == de.plan.bandwidth_shares
         assert sp.migration_history == de.migration_history
         assert sp.plan.objective_value == de.plan.objective_value
-
-    def test_invalid_mode_rejected(self, hetero_instance):
-        cluster, tasks, cands = hetero_instance
-        with pytest.raises(ConfigError):
-            AffinityIndex(tasks, cands, cluster, mode="hybrid")
-        with pytest.raises(ConfigError):
-            JointSolverConfig(affinity="hybrid")
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +201,16 @@ class TestResolveDirty:
         assert a.plan.latencies == b.plan.latencies
         assert a.plan.objective_value == b.plan.objective_value
 
-    def test_all_dirty_reproduces_migrationless_fanout(self, scenario_instance):
+    @pytest.mark.parametrize("nested", [0, 2])
+    def test_all_dirty_reproduces_migrationless_fanout(
+        self, scenario_instance, nested
+    ):
         # with every shard dirty and the same seed, the delta path must
         # reproduce a fresh fan-out exactly (migration is never re-run, so
-        # compare against a migration_rounds=0 solve)
+        # compare against a migration_rounds=0 solve) — a nested region
+        # re-solves over its racks, as the fresh fan-out solved it
         cluster, tasks, cands = scenario_instance
-        cfg = JointSolverConfig(shards=4, migration_rounds=0)
+        cfg = JointSolverConfig(shards=4, nested_shards=nested, migration_rounds=0)
         fresh = solve_sharded(tasks, cluster, config=cfg, candidates=cands, seed=3)
         re = resolve_dirty(
             tasks, cluster, fresh, [0, 1, 2, 3], config=cfg, candidates=cands, seed=3
@@ -221,6 +218,8 @@ class TestResolveDirty:
         assert re.plan.assignment == fresh.plan.assignment
         assert re.plan.features == fresh.plan.features
         assert re.plan.latencies == fresh.plan.latencies
+        assert re.plan.compute_shares == fresh.plan.compute_shares
+        assert re.plan.bandwidth_shares == fresh.plan.bandwidth_shares
         assert re.plan.objective_value == fresh.plan.objective_value
 
     def test_validation(self, scenario_instance, prior):

@@ -15,11 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding import (
-    ShardPlan,
-    partition_servers,
-    partition_servers_nested,
-)
+from repro.core.sharding import ShardPlan, partition_servers
 from repro.errors import ConfigError
 from repro.profiling.counters import PerfCounters
 
@@ -79,44 +75,6 @@ def test_partition_covers_every_server_once(num_servers, shards, shard_by):
     assert all(shard for shard in parts)
 
 
-@given(
-    num_servers=st.integers(1, 64),
-    regions=st.integers(1, 8),
-    racks=st.integers(1, 8),
-    shard_by=st.sampled_from(["contiguous", "interleave"]),
-)
-def test_nested_partition_partitions_both_levels(
-    num_servers, regions, racks, shard_by
-):
-    """Regions partition the server set; racks partition each region; the
-    flattened racks are exactly the flat partition the outer level made —
-    what the coordinator's nested mode (regions → racks) relies on."""
-    if regions > num_servers:
-        with pytest.raises(ConfigError):
-            partition_servers_nested(num_servers, regions, racks, shard_by)
-        return
-    nested = partition_servers_nested(num_servers, regions, racks, shard_by)
-    outer = partition_servers(num_servers, regions, shard_by)
-    assert len(nested) == len(outer) == regions
-    for region_racks, region in zip(nested, outer):
-        # racks are non-empty, disjoint, and cover exactly the region
-        assert all(rack for rack in region_racks)
-        assert len(region_racks) == min(racks, len(region))
-        flat = [s for rack in region_racks for s in rack]
-        assert sorted(flat) == sorted(region)
-        assert len(set(flat)) == len(flat)
-    all_servers = [s for rr in nested for rack in rr for s in rack]
-    assert sorted(all_servers) == list(range(num_servers))
-
-
-@given(num_servers=st.integers(1, 32), regions=st.integers(1, 4))
-def test_nested_partition_rejects_bad_racks(num_servers, regions):
-    if regions > num_servers:
-        return
-    with pytest.raises(ConfigError):
-        partition_servers_nested(num_servers, regions, 0)
-
-
 @settings(max_examples=50)
 @given(
     num_servers=st.integers(2, 32),
@@ -151,8 +109,8 @@ def test_migration_rehoming_keeps_partition(num_servers, shards, num_tasks, data
     # every task homed to exactly one existing shard...
     assert len(rehomed.task_shard) == num_tasks
     assert all(0 <= s < shards for s in rehomed.task_shard)
-    # ...and tasks_of() tiles the task set exactly once
-    seen = sorted(i for s in range(shards) for i in rehomed.tasks_of(s))
+    # ...and tasks_by_shard() tiles the task set exactly once
+    seen = sorted(i for ids in rehomed.tasks_by_shard() for i in ids)
     assert seen == list(range(num_tasks))
     # the server partition is untouched by re-homing
     assert rehomed.server_shards == plan.server_shards
